@@ -22,7 +22,6 @@ from .errors import (
     UnknownElementError,
 )
 from .order import (
-    DEFAULT_PERMUTATION_BUDGET,
     BoundedLattice,
     CanonicalCertificate,
     ElementId,
@@ -83,7 +82,6 @@ __all__ = [
     "CORE_AXIOMS",
     "CanonicalCertificate",
     "CycleDetectedError",
-    "DEFAULT_PERMUTATION_BUDGET",
     "DuplicateNameError",
     "ElementId",
     "EnumerationConfig",

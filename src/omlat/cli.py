@@ -14,9 +14,14 @@ import sys
 from pathlib import Path
 
 from .correspondence import induced_oml, round_trip_check, sasaki_groupoid
-from .errors import HypothesisViolatedError, NotOrthomodularError, OmlatError
+from .errors import (
+    HypothesisViolatedError,
+    NotOrthomodularError,
+    OmlatError,
+    ParseError,
+)
 from .formats import export_dot, parse_structure, serialize_structure
-from .order import DEFAULT_PERMUTATION_BUDGET, BoundedLattice, verify_lattice
+from .order import BoundedLattice, verify_lattice
 from .ortho import OrthoCandidate, check_orthomodularity, verify_ortholattice
 from .reports import VerificationReport, format_witness
 from .residuated import (
@@ -38,7 +43,10 @@ _GROUPOID_PROFILES = {
 
 
 def _read_structure(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     structure = parse_structure(text)
     lattice = structure if isinstance(structure, BoundedLattice) else structure.lattice
     if lattice.is_trivial:
@@ -102,11 +110,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cfg = EnumerationConfig(
-        max_size=args.max_size,
-        require_orthomodular=args.omod,
-        permutation_budget=args.budget,
-    )
+    cfg = EnumerationConfig(args.max_size)
     os.makedirs(args.out, exist_ok=True)
     written: list[str] = []
     if args.omod:
@@ -157,6 +161,16 @@ def _cmd_dot(args) -> int:
     else:
         sys.stdout.write(export_dot(structure))
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,19 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "enumerate", help="write one structure file per isomorphism class"
     )
-    p.add_argument("--max-size", type=int, required=True, metavar="N")
+    p.add_argument("--max-size", type=_positive_int, required=True, metavar="N")
     p.add_argument(
         "--omod",
         action="store_true",
         help="emit every (lattice, orthomodular complementation) pair as an ortho file",
     )
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_PERMUTATION_BUDGET,
-        help="permutation budget for canonicalization",
-    )
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("witness", help="print the first witness violating an axiom")

@@ -4,13 +4,18 @@ Elements are dense integer ids 0..n-1 with display names kept alongside; all
 computation runs on indices and every report renders names.  Join and meet are
 precomputed n x n tables so each axiom check elsewhere in the package is a
 plain table scan.  Structures are frozen after construction and safe to share.
+
+The one canonical form, `canonical_labeling`, refines the elements into an
+isomorphism-invariant partition and minimizes the relabeled order matrix over
+permutations within its cells.  Enumeration deduplicates with it and
+`canonical_certificate` serializes under it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .errors import (
     CycleDetectedError,
@@ -25,9 +30,9 @@ from .reports import AxiomResult, VerificationReport, bind
 
 ElementId = int
 
-# 8! permutations: exhaustive canonicalization for lattices with up to 10
-# elements (bottom and top are pinned, only the rest are permuted).
-DEFAULT_PERMUTATION_BUDGET = 40320
+# Canonical labeling tries every permutation within the refinement cells; it
+# refuses structures whose cells allow more than 8! of them.
+_MAX_RELABELINGS = factorial(8)
 
 
 @dataclass(frozen=True)
@@ -312,52 +317,96 @@ def relabel_lattice(l: BoundedLattice, perm) -> BoundedLattice:
     )
 
 
-def canonical_certificate(
-    l: BoundedLattice, u=None, budget: int = DEFAULT_PERMUTATION_BUDGET
-) -> CanonicalCertificate:
-    """Minimize the serialized structure over all relabelings.
+def down_sets(up) -> list[int]:
+    """Down-set bitmasks from up-set bitmasks: bit x of down[y] iff x <= y."""
+    n = len(up)
+    down = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if (up[x] >> y) & 1:
+                down[y] |= 1 << x
+    return down
 
-    Bottom is pinned to index 0 and top to index n-1 (any isomorphism must
-    preserve them); the remaining elements are permuted exhaustively.  When a
-    unary table `u` is given it participates in the minimization, so the
-    certificate distinguishes lattices-with-unary-op up to isomorphism.
-    Raises SizeLimitExceededError when (n-2)! exceeds the budget.
+
+def _refinement_cells(up, down) -> list[list[ElementId]]:
+    """Partition elements by an iso-invariant iterated signature."""
+    n = len(up)
+    color: list = [(up[x].bit_count(), down[x].bit_count()) for x in range(n)]
+    classes = len(set(color))
+    while True:
+        sigs = []
+        for x in range(n):
+            above = tuple(sorted(color[y] for y in range(n) if y != x and (up[x] >> y) & 1))
+            below = tuple(sorted(color[y] for y in range(n) if y != x and (down[x] >> y) & 1))
+            sigs.append((color[x], above, below))
+        palette = sorted(set(sigs))
+        color = [palette.index(s) for s in sigs]
+        if len(palette) == classes:
+            break
+        classes = len(palette)
+    cells: dict[int, list[ElementId]] = {}
+    for x in range(n):
+        cells.setdefault(color[x], []).append(x)
+    return [cells[c] for c in sorted(cells)]
+
+
+def canonical_labeling(up, u=None) -> tuple[tuple, list[ElementId]]:
+    """Minimal relabeled order (and unary table) over cell-respecting relabelings.
+
+    `up[x]` is the up-set bitmask of x in a finite poset.  The refinement
+    partition is isomorphism-invariant and its cells are laid out in an
+    invariant order, so only permutations within cells are tried and two
+    structures get equal keys iff they are isomorphic.  Returns the key and
+    the minimizing order, order[new] = old.  Raises SizeLimitExceededError
+    when the cells allow more than _MAX_RELABELINGS permutations.
+    """
+    n = len(up)
+    cells = _refinement_cells(up, down_sets(up))
+    relabelings = prod(factorial(len(c)) for c in cells)
+    if relabelings > _MAX_RELABELINGS:
+        raise SizeLimitExceededError(
+            f"canonicalization needs {relabelings} relabelings, "
+            f"the limit is {_MAX_RELABELINGS}"
+        )
+    best = None
+    best_order: list[ElementId] = []
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        order = [x for part in parts for x in part]
+        rows = []
+        for i in range(n):
+            ui = up[order[i]]
+            row = 0
+            for j in range(n):
+                if (ui >> order[j]) & 1:
+                    row |= 1 << j
+            rows.append(row)
+        if u is None:
+            key = (tuple(rows), ())
+        else:
+            pos = {old: new for new, old in enumerate(order)}
+            key = (tuple(rows), tuple(pos[u[order[i]]] for i in range(n)))
+        if best is None or key < best:
+            best, best_order = key, order
+    return best, best_order
+
+
+def canonical_certificate(l: BoundedLattice, u=None) -> CanonicalCertificate:
+    """Serialize the structure under its canonical labeling.
+
+    When a unary table `u` is given it participates in the minimization, so
+    the certificate distinguishes lattices-with-unary-op up to isomorphism.
+    Raises SizeLimitExceededError when the refinement cells allow more than
+    8! relabelings.
     """
     n = l.n
     if u is not None:
         u = tuple(u)
         if len(u) != n or any(not (0 <= v < n) for v in u):
             raise TableNotTotalError("unary table must be total on the carrier")
-    middle = [x for x in range(n) if x != l.bottom and x != l.top]
-    if factorial(len(middle)) > budget:
-        raise SizeLimitExceededError(
-            f"canonicalization needs {factorial(len(middle))} permutations, "
-            f"budget is {budget}"
-        )
-    leq = l.leq
-    head = (l.bottom,)
-    tail = () if l.top == l.bottom else (l.top,)
-    best = None
-    best_inv = None
-    for mid in itertools.permutations(middle):
-        inv = head + mid + tail
-        rows = []
-        for i in range(n):
-            li = leq[inv[i]]
-            row = 0
-            for j in range(n):
-                if li[inv[j]]:
-                    row |= 1 << j
-            rows.append(row)
-        if u is None:
-            key = (tuple(rows), ())
-        else:
-            pos = {old: new for new, old in enumerate(inv)}
-            key = (tuple(rows), tuple(pos[u[inv[i]]] for i in range(n)))
-        if best is None or key < best:
-            best, best_inv = key, inv
+    up = [sum(1 << y for y, v in enumerate(row) if v) for row in l.leq]
+    _, order = canonical_labeling(up, u)
     pos_list = [0] * n
-    for new, old in enumerate(best_inv):
+    for new, old in enumerate(order):
         pos_list[old] = new
     canon = relabel_lattice(l, pos_list)
     parts = [f"n={n}"]

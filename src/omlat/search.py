@@ -4,25 +4,24 @@ Lattices are generated one isomorphism class at a time by growing
 meet-semilattices element by element: a bounded lattice on n elements minus
 its top is exactly a meet-semilattice on n-1 elements, and adjoining a fresh
 maximal element with a chosen down-set extends one semilattice to the next
-size.  Candidate extensions are deduplicated with a canonical key that
-minimizes the relabeled order matrix over permutations respecting an
-iso-invariant refinement partition, so each class is kept exactly once.
+size.  Candidate extensions are deduplicated with the key of
+`order.canonical_labeling`, so each class is kept exactly once, and each size
+is output sorted by `canonical_certificate`, which uses the same labeling.
 Orthocomplement search backtracks over involutions that pair each element
 with one of its lattice complements, pruning by antitony as pairs are fixed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import factorial
 
 from .errors import SizeLimitExceededError, UnknownAxiomIdError
 from .order import (
-    DEFAULT_PERMUTATION_BUDGET,
     BoundedLattice,
     FinitePoset,
     canonical_certificate,
+    canonical_labeling,
+    down_sets,
     lattice_from_poset,
 )
 from .ortho import (
@@ -42,18 +41,10 @@ MAX_ENUMERATION_SIZE = 9
 @dataclass(frozen=True)
 class EnumerationConfig:
     max_size: int
-    require_orthomodular: bool = False
-    permutation_budget: int = DEFAULT_PERMUTATION_BUDGET
 
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
-        needed = factorial(max(self.max_size - 2, 0))
-        if self.permutation_budget < needed:
-            raise SizeLimitExceededError(
-                f"exact canonicalization at size {self.max_size} needs a "
-                f"permutation budget of {needed}, got {self.permutation_budget}"
-            )
 
 
 def enumerate_orthocomplements(
@@ -122,62 +113,6 @@ def enumerate_orthocomplements(
     return sorted(found)
 
 
-def _downsets_from_upsets(up: list[int], n: int) -> list[int]:
-    down = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if (up[x] >> y) & 1:
-                down[y] |= 1 << x
-    return down
-
-
-def _refinement_cells(up: list[int], down: list[int], n: int) -> list[list[int]]:
-    """Partition elements by an iso-invariant iterated signature."""
-    color: list = [((up[x]).bit_count(), (down[x]).bit_count()) for x in range(n)]
-    classes = len(set(color))
-    while True:
-        sigs = []
-        for x in range(n):
-            above = tuple(sorted(color[y] for y in range(n) if y != x and (up[x] >> y) & 1))
-            below = tuple(sorted(color[y] for y in range(n) if y != x and (down[x] >> y) & 1))
-            sigs.append((color[x], above, below))
-        palette = sorted(set(sigs))
-        color = [palette.index(s) for s in sigs]
-        if len(palette) == classes:
-            break
-        classes = len(palette)
-    cells: dict[int, list[int]] = {}
-    for x in range(n):
-        cells.setdefault(color[x], []).append(x)
-    return [cells[c] for c in sorted(cells)]
-
-
-def _canonical_order_key(up: list[int], n: int) -> tuple[int, ...]:
-    """Minimal relabeled order matrix over partition-respecting permutations.
-
-    The refinement partition is isomorphism-invariant and its cells are laid
-    out in an invariant order, so two structures get equal keys iff they are
-    isomorphic; within cells all permutations are tried.
-    """
-    down = _downsets_from_upsets(up, n)
-    cells = _refinement_cells(up, down, n)
-    best: tuple[int, ...] | None = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
-        inv = [x for part in parts for x in part]
-        rows = []
-        for i in range(n):
-            u = up[inv[i]]
-            row = 0
-            for j in range(n):
-                if (u >> inv[j]) & 1:
-                    row |= 1 << j
-            rows.append(row)
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def _semilattice_extensions(up: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """All one-element extensions by a new maximal element.
 
@@ -185,7 +120,7 @@ def _semilattice_extensions(up: tuple[int, ...], n: int) -> list[tuple[int, ...]
     x outside D, D intersected with the down-set of x must have a unique
     maximum (that maximum becomes the meet of the new element with x).
     """
-    down = _downsets_from_upsets(list(up), n)
+    down = down_sets(up)
     out = []
     for mask in range(1, 1 << n):
         ok = True
@@ -230,8 +165,6 @@ def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
     """One representative per isomorphism class, sizes 1 through max_size.
 
     Output is sorted by (size, certificate bytes) and therefore reproducible.
-    With require_orthomodular set, only lattices admitting at least one
-    orthomodular complementation are kept.
     """
     if cfg.max_size > MAX_ENUMERATION_SIZE:
         raise SizeLimitExceededError(
@@ -251,37 +184,25 @@ def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
             lattices_by_size[k + 1].append(_lattice_from_order_rows(rows, k + 1))
         if k + 1 >= cfg.max_size:
             break
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        nxt: dict[tuple, tuple[int, ...]] = {}
         for up in level:
             for ext in _semilattice_extensions(up, k):
-                key = _canonical_order_key(list(ext), k + 1)
+                key, _ = canonical_labeling(ext)
                 if key not in nxt:
                     nxt[key] = ext
         level = list(nxt.values())
     results: list[BoundedLattice] = []
     for n in sorted(lattices_by_size):
-        with_certs = [
-            (canonical_certificate(l, budget=cfg.permutation_budget).data, l)
-            for l in lattices_by_size[n]
-        ]
+        with_certs = [(canonical_certificate(l).data, l) for l in lattices_by_size[n]]
         with_certs.sort(key=lambda pair: pair[0])
-        for _, l in with_certs:
-            if cfg.require_orthomodular and not enumerate_orthocomplements(
-                l, require_omod=True
-            ):
-                continue
-            results.append(l)
+        results.extend(l for _, l in with_certs)
     return results
 
 
 def enumerate_omls(cfg: EnumerationConfig) -> list[OrthoCandidate]:
     """Every (lattice class, orthomodular complementation) pair up to max_size."""
     pairs: list[OrthoCandidate] = []
-    base = EnumerationConfig(
-        cfg.max_size, require_orthomodular=False,
-        permutation_budget=cfg.permutation_budget,
-    )
-    for l in enumerate_bounded_lattices(base):
+    for l in enumerate_bounded_lattices(cfg):
         for table in enumerate_orthocomplements(l, require_omod=True):
             pairs.append(OrthoCandidate(l, table))
     return pairs

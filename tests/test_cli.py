@@ -207,6 +207,13 @@ class TestEnumerate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_max_size_zero_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--max-size", "0", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestWitness:
     def test_o6_orthomodularity(self, capsys):
@@ -264,6 +271,12 @@ class TestErrorPaths:
         path.write_text("kind: ortho\nelements: 0 1\n")
         assert main(["check", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "binary.lattice"
+        path.write_bytes(b"kind: lattice\nelements: 0 \xff 1\ncovers: 0<\xff \xff<1\n")
+        assert main(["check", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_not_a_lattice(self, capsys):
         assert main(["check", BOWTIE]) == 2

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_boolean, make_mo2, make_o6
 from omlat import (
-    DEFAULT_PERMUTATION_BUDGET,
     CycleDetectedError,
     DuplicateNameError,
     EnumerationConfig,
@@ -182,15 +181,33 @@ class TestCanonicalCertificate:
         without = canonical_certificate(mo2.lattice).data
         assert with_first != without
 
-    def test_budget_exceeded(self):
-        l = make_mo2().lattice
+    def test_one_large_cell_exceeds_relabeling_cap(self):
+        # MO10: the 10 atoms form one refinement cell, 10! > 8! relabelings
+        atoms = [f"a{i}" for i in range(10)]
+        l = lattice_from_covers(
+            ["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+        )
         with pytest.raises(SizeLimitExceededError):
-            canonical_certificate(l, budget=5)
+            canonical_certificate(l)
 
-    def test_default_budget_covers_ten_elements(self):
-        import math
-
-        assert math.factorial(10 - 2) <= DEFAULT_PERMUTATION_BUDGET
+    @given(st.permutations(range(12)))
+    @settings(max_examples=20, deadline=None)
+    def test_twelve_elements_with_small_cells(self, perm):
+        # 2 x MO2: twelve elements, the largest cells are two sets of 4 atoms
+        mo2 = make_mo2().lattice
+        names = [f"{x}.{y}" for x in mo2.names for y in "01"]
+        covers = [
+            (f"{mo2.names[a]}.{y}", f"{mo2.names[b]}.{y}")
+            for a, b in transitive_reduction(mo2.poset)
+            for y in "01"
+        ]
+        covers += [(f"{x}.0", f"{x}.1") for x in mo2.names]
+        l = lattice_from_covers(names, covers)
+        assert l.n == 12
+        assert (
+            canonical_certificate(relabel_lattice(l, list(perm))).data
+            == canonical_certificate(l).data
+        )
 
     def test_partial_unary_table_rejected(self):
         l = make_mo2().lattice

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +24,19 @@ from omlat import (
     verify_ortholattice,
 )
 
-# class counts per size, frozen from the enumeration run and cross-checked
-# against the labeled brute-force oracle below for sizes 1-6
-EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+# class counts per size, frozen from the enumeration run, cross-checked
+# against the labeled brute-force oracle below for sizes 1-6 and equal to
+# OEIS A006966 throughout
+EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
 
-CORPUS8 = enumerate_bounded_lattices(EnumerationConfig(8))
+# SHA-256 of the order rows of the representatives up to size 8, in output
+# order; any change to the certificate or to the sort order changes it
+EXPECTED_ORDER_DIGEST = (
+    "72e5801d6d9e837ab3144bedfb896f6c5aa8f8d5a68065fdedc85d5f23f8b1de"
+)
+
+CORPUS9 = enumerate_bounded_lattices(EnumerationConfig(9))
+CORPUS8 = [l for l in CORPUS9 if l.n <= 8]
 
 
 def counts_by_size(lattices) -> dict[int, int]:
@@ -41,10 +51,6 @@ class TestEnumerationConfig:
         with pytest.raises(ValueError):
             EnumerationConfig(0)
 
-    def test_budget_floor(self):
-        with pytest.raises(SizeLimitExceededError):
-            EnumerationConfig(8, permutation_budget=100)
-
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceededError):
             enumerate_bounded_lattices(EnumerationConfig(10))
@@ -52,7 +58,15 @@ class TestEnumerationConfig:
 
 class TestEnumerateBoundedLattices:
     def test_frozen_class_counts(self):
-        assert counts_by_size(CORPUS8) == EXPECTED_CLASS_COUNTS
+        assert counts_by_size(CORPUS9) == EXPECTED_CLASS_COUNTS
+
+    def test_frozen_output_order(self):
+        rows = "\n".join(
+            ";".join("".join("1" if v else "0" for v in row) for row in l.leq)
+            for l in CORPUS8
+        )
+        digest = hashlib.sha256(rows.encode("ascii")).hexdigest()
+        assert digest == EXPECTED_ORDER_DIGEST
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_counts_match_labeled_oracle(self, n):
@@ -87,11 +101,10 @@ class TestEnumerateBoundedLattices:
         prefix = [l for l in CORPUS8 if l.n <= 6]
         assert [l.leq for l in again] == [l.leq for l in prefix]
 
-    def test_require_orthomodular_filter(self):
-        filtered = enumerate_bounded_lattices(
-            EnumerationConfig(6, require_orthomodular=True)
-        )
-        assert counts_by_size(filtered) == {1: 1, 2: 1, 4: 1, 6: 1}
+    def test_lattices_admitting_an_oml(self):
+        pairs = enumerate_omls(EnumerationConfig(6))
+        distinct = {c.lattice.leq: c.lattice for c in pairs}
+        assert counts_by_size(distinct.values()) == {1: 1, 2: 1, 4: 1, 6: 1}
 
 
 class TestEnumerateOrthocomplements:
