@@ -38,8 +38,6 @@ from .ortho import (
     OrthoCandidate,
     UnaryTable,
     check_orthomodularity,
-    complementation_witness,
-    distributivity_witness,
     is_boolean,
     verify_ortholattice,
 )
@@ -49,14 +47,10 @@ from .residuated import (
     CORE_AXIOMS,
     RECOVERY_AXIOMS,
     ROUND_TRIP_AXIOMS,
-    ROUND_TRIP_AXIOMS_STRICT,
-    AxiomProfile,
     BinOpTable,
     LrGroupoid,
     derived_negation,
     verify_lrg,
-    verify_lrg_core,
-    verify_lrg_extras,
 )
 from .correspondence import induced_oml, round_trip_check, sasaki_groupoid
 from .search import (
@@ -75,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_AXIOMS",
-    "AxiomProfile",
     "AxiomResult",
     "BinOpTable",
     "BoundedLattice",
@@ -99,7 +92,6 @@ __all__ = [
     "ParseError",
     "RECOVERY_AXIOMS",
     "ROUND_TRIP_AXIOMS",
-    "ROUND_TRIP_AXIOMS_STRICT",
     "SizeLimitExceededError",
     "TableNotTotalError",
     "UnaryTable",
@@ -109,9 +101,7 @@ __all__ = [
     "Witness",
     "canonical_certificate",
     "check_orthomodularity",
-    "complementation_witness",
     "derived_negation",
-    "distributivity_witness",
     "enumerate_bounded_lattices",
     "enumerate_omls",
     "enumerate_orthocomplements",
@@ -131,7 +121,5 @@ __all__ = [
     "transitive_reduction",
     "verify_lattice",
     "verify_lrg",
-    "verify_lrg_core",
-    "verify_lrg_extras",
     "verify_ortholattice",
 ]

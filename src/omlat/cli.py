@@ -112,27 +112,19 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_enumerate(args) -> int:
     cfg = EnumerationConfig(args.max_size)
     os.makedirs(args.out, exist_ok=True)
-    written: list[str] = []
     if args.omod:
-        counters: dict[int, int] = {}
-        for candidate in enumerate_omls(cfg):
-            n = candidate.lattice.n
-            k = counters.get(n, 0)
-            counters[n] = k + 1
-            name = f"oml_n{n}_{k:03d}.ortho"
-            path = os.path.join(args.out, name)
-            Path(path).write_text(serialize_structure(candidate), encoding="utf-8")
-            written.append(path)
+        structures, prefix, ext = enumerate_omls(cfg), "oml", "ortho"
     else:
-        counters = {}
-        for lattice in enumerate_bounded_lattices(cfg):
-            n = lattice.n
-            k = counters.get(n, 0)
-            counters[n] = k + 1
-            name = f"lattice_n{n}_{k:03d}.lattice"
-            path = os.path.join(args.out, name)
-            Path(path).write_text(serialize_structure(lattice), encoding="utf-8")
-            written.append(path)
+        structures, prefix, ext = enumerate_bounded_lattices(cfg), "lattice", "lattice"
+    written: list[str] = []
+    counters: dict[int, int] = {}
+    for structure in structures:
+        n = getattr(structure, "lattice", structure).n
+        k = counters.get(n, 0)
+        counters[n] = k + 1
+        path = os.path.join(args.out, f"{prefix}_n{n}_{k:03d}.{ext}")
+        Path(path).write_text(serialize_structure(structure), encoding="utf-8")
+        written.append(path)
     for path in written:
         print(path)
     print(f"wrote {len(written)} structure files to {args.out}", file=sys.stderr)

@@ -16,7 +16,6 @@ from .reports import AxiomResult, VerificationReport, bind
 from .residuated import (
     RECOVERY_AXIOMS,
     ROUND_TRIP_AXIOMS,
-    AxiomProfile,
     LrGroupoid,
     derived_negation,
     verify_lrg,
@@ -50,12 +49,12 @@ def sasaki_groupoid(c: OrthoCandidate, override: bool = False) -> LrGroupoid:
 
 
 def induced_oml(
-    g: LrGroupoid, profile: AxiomProfile = RECOVERY_AXIOMS
+    g: LrGroupoid, profile: tuple[str, ...] = RECOVERY_AXIOMS
 ) -> OrthoCandidate:
     """Recover an orthomodular lattice from a qualifying groupoid.
 
-    The groupoid must pass the given profile (the default is the recovery
-    hypothesis set); violations raise HypothesisViolatedError carrying the
+    The groupoid must pass the given profile, a tuple of law ids (the
+    default is the recovery hypothesis set); violations raise HypothesisViolatedError carrying the
     failing axiom and witness.  The conclusion is then verified, never
     assumed: the candidate with comp = derived negation must pass the full
     ortholattice and orthomodularity suites.
@@ -117,14 +116,6 @@ def round_trip_check(structure) -> VerificationReport:
         return VerificationReport(results)
     if isinstance(structure, LrGroupoid):
         g = structure
-        hypothesis = verify_lrg(g, ROUND_TRIP_AXIOMS)
-        if not hypothesis.overall:
-            first = hypothesis.failures[0]
-            raise HypothesisViolatedError(
-                f"groupoid violates {first.axiom}",
-                axiom=first.axiom,
-                witness=first.witness,
-            )
         candidate = induced_oml(g, ROUND_TRIP_AXIOMS)
         back = sasaki_groupoid(candidate)
         results = (

@@ -2,8 +2,9 @@
 
 Elements are dense integer ids 0..n-1 with display names kept alongside; all
 computation runs on indices and every report renders names.  Join and meet are
-precomputed n x n tables so each axiom check elsewhere in the package is a
-plain table scan.  Structures are frozen after construction and safe to share.
+precomputed n x n tables so every law in the package is a plain table scan.
+The lattice laws are the `Law` rows of LATTICE_LAWS, which `verify_lattice`
+checks in order.  Structures are frozen after construction and safe to share.
 
 The one canonical form, `canonical_labeling`, refines the elements into an
 isomorphism-invariant partition and minimizes the relabeled order matrix over
@@ -26,7 +27,7 @@ from .errors import (
     TableNotTotalError,
     UnknownElementError,
 )
-from .reports import AxiomResult, VerificationReport, bind
+from .reports import Law, VerificationReport, check_laws
 
 ElementId = int
 
@@ -93,6 +94,13 @@ class CanonicalCertificate:
     """
 
     data: bytes
+
+
+def check_unary_table(n: int, u) -> tuple[ElementId, ...]:
+    u = tuple(u)
+    if len(u) != n or any(not (0 <= v < n) for v in u):
+        raise TableNotTotalError("unary table must be total on the carrier")
+    return u
 
 
 def poset_from_covers(names, covers) -> FinitePoset:
@@ -200,6 +208,37 @@ def transitive_reduction(p: FinitePoset) -> tuple[tuple[ElementId, ElementId], .
     return tuple(covers)
 
 
+LATTICE_LAWS = (
+    Law(
+        "join-is-lub",
+        "x,y",
+        "leq[x][join[x][y]] and leq[y][join[x][y]]"
+        " and all(leq[join[x][y]][z] for z in N if leq[x][z] and leq[y][z])",
+    ),
+    Law(
+        "meet-is-glb",
+        "x,y",
+        "leq[meet[x][y]][x] and leq[meet[x][y]][y]"
+        " and all(leq[z][meet[x][y]] for z in N if leq[z][x] and leq[z][y])",
+    ),
+    Law("bounded", "x", "leq[bottom][x] and leq[x][top]"),
+    Law("idempotence", "x", "join[x][x] == x and meet[x][x] == x"),
+    Law("commutativity", "x,y", "join[x][y] == join[y][x] and meet[x][y] == meet[y][x]"),
+    Law(
+        "associativity",
+        "x,y,z",
+        "join[join[x][y]][z] == join[x][join[y][z]]"
+        " and meet[meet[x][y]][z] == meet[x][meet[y][z]]",
+    ),
+    Law("absorption", "x,y", "meet[x][join[x][y]] == x and join[x][meet[x][y]] == x"),
+    Law(
+        "order-agreement",
+        "x,y",
+        "leq[x][y] == (join[x][y] == y) and leq[x][y] == (meet[x][y] == x)",
+    ),
+)
+
+
 def verify_lattice(l: BoundedLattice) -> VerificationReport:
     """Exhaustively check the join/meet tables against the order.
 
@@ -207,95 +246,7 @@ def verify_lattice(l: BoundedLattice) -> VerificationReport:
     idempotent, commutative, associative and absorb each other, that the
     stated bounds bound, and that order and tables agree pointwise.
     """
-    n, leq, names = l.n, l.leq, l.names
-    join, meet = l.join, l.meet
-    results: list[AxiomResult] = []
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            j = join[x][y]
-            ubs = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            if j not in ubs or not all(leq[j][z] for z in ubs):
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    results.append(AxiomResult("join-is-lub", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            m = meet[x][y]
-            lbs = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            if m not in lbs or not all(leq[z][m] for z in lbs):
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    results.append(AxiomResult("meet-is-glb", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        if not (leq[l.bottom][x] and leq[x][l.top]):
-            witness = bind("x", names, (x,))
-            break
-    results.append(AxiomResult("bounded", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        if join[x][x] != x or meet[x][x] != x:
-            witness = bind("x", names, (x,))
-            break
-    results.append(AxiomResult("idempotence", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if join[x][y] != join[y][x] or meet[x][y] != meet[y][x]:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    results.append(AxiomResult("commutativity", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if (
-                    join[join[x][y]][z] != join[x][join[y][z]]
-                    or meet[meet[x][y]][z] != meet[x][meet[y][z]]
-                ):
-                    witness = bind("x,y,z", names, (x, y, z))
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    results.append(AxiomResult("associativity", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if meet[x][join[x][y]] != x or join[x][meet[x][y]] != x:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    results.append(AxiomResult("absorption", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y] != (join[x][y] == y) or leq[x][y] != (meet[x][y] == x):
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    results.append(AxiomResult("order-agreement", witness is None, witness))
-
-    return VerificationReport(tuple(results))
+    return VerificationReport(tuple(check_laws(LATTICE_LAWS, l)))
 
 
 def relabel_lattice(l: BoundedLattice, perm) -> BoundedLattice:
@@ -400,9 +351,7 @@ def canonical_certificate(l: BoundedLattice, u=None) -> CanonicalCertificate:
     """
     n = l.n
     if u is not None:
-        u = tuple(u)
-        if len(u) != n or any(not (0 <= v < n) for v in u):
-            raise TableNotTotalError("unary table must be total on the carrier")
+        u = check_unary_table(n, u)
     up = [sum(1 << y for y, v in enumerate(row) if v) for row in l.leq]
     _, order = canonical_labeling(up, u)
     pos_list = [0] * n

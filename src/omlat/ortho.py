@@ -1,29 +1,24 @@
-"""Orthocomplementation axioms on a bounded lattice.
+"""Orthocomplementation laws on a bounded lattice.
 
 An OrthoCandidate is a lattice plus a candidate complementation table; nothing
-about the table is assumed.  The checkers scan exhaustively, never abort on a
-failure, and report every axiom independently, so a single run fully
+about the table is assumed.  The laws are `Law` rows over the table `comp`:
+ORTHOLATTICE_LAWS (three axioms and three derived laws), ORTHOMODULAR_LAWS
+(the orthomodular law and its dual, over comparable pairs) and BOOLEAN_LAWS
+(distributivity and complementation).  The checkers scan every row, never
+abort on a failure, and report each law independently, so a single run fully
 characterizes a structure.  Witnesses are the first failing tuple in row-major
 index order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import TableNotTotalError
-from .order import BoundedLattice, ElementId
-from .reports import AxiomResult, VerificationReport, Witness, bind
+from .order import BoundedLattice, ElementId, check_unary_table
+from .reports import AxiomResult, Law, VerificationReport, Witness, check_laws, first_violation
 
 # total map ElementId -> ElementId, as a dense tuple
 UnaryTable = tuple[ElementId, ...]
-
-
-def check_unary_table(n: int, u) -> UnaryTable:
-    u = tuple(u)
-    if len(u) != n or any(not (0 <= v < n) for v in u):
-        raise TableNotTotalError("unary table must be total on the carrier")
-    return u
 
 
 @dataclass(frozen=True)
@@ -41,6 +36,28 @@ class OrthoCandidate:
         return self.lattice.names
 
 
+ORTHOLATTICE_LAWS = (
+    Law("complement-join", "x", "join[x][comp[x]] == top"),
+    Law("antitony", "x,y", "not leq[x][y] or leq[comp[y]][comp[x]]"),
+    Law("involution", "x", "comp[comp[x]] == x"),
+    Law("complement-meet", "x", "meet[x][comp[x]] == bottom", "derived law"),
+    Law("de-morgan-join", "x,y", "comp[join[x][y]] == meet[comp[x]][comp[y]]", "derived law"),
+    Law("de-morgan-meet", "x,y", "comp[meet[x][y]] == join[comp[x]][comp[y]]", "derived law"),
+)
+
+ORTHOMODULAR_LAWS = (
+    Law("orthomodularity", "x,y", "not leq[x][y] or join[x][meet[y][comp[x]]] == y"),
+    Law("orthomodularity-dual", "x,y", "not leq[x][y] or meet[y][join[x][comp[y]]] == x"),
+)
+
+BOOLEAN_LAWS = (
+    Law("distributivity", "x,y,z", "meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]"),
+    Law("complementation", "x", "join[x][comp[x]] == top and meet[x][comp[x]] == bottom"),
+)
+
+ORTHO_LAWS = ORTHOLATTICE_LAWS + ORTHOMODULAR_LAWS + BOOLEAN_LAWS
+
+
 def verify_ortholattice(c: OrthoCandidate) -> VerificationReport:
     """Check complement-join, antitony, involution, and the derived laws.
 
@@ -48,68 +65,7 @@ def verify_ortholattice(c: OrthoCandidate) -> VerificationReport:
     de Morgan laws, plus the meta assertion that antitony with involution
     forces the de Morgan laws.
     """
-    l = c.lattice
-    n, names, comp = l.n, l.names, c.comp
-    join, meet, leq = l.join, l.meet, l.leq
-    bottom, top = l.bottom, l.top
-    results: list[AxiomResult] = []
-
-    witness = None
-    for x in range(n):
-        if join[x][comp[x]] != top:
-            witness = bind("x", names, (x,))
-            break
-    results.append(AxiomResult("complement-join", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y] and not leq[comp[y]][comp[x]]:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    results.append(AxiomResult("antitony", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        if comp[comp[x]] != x:
-            witness = bind("x", names, (x,))
-            break
-    results.append(AxiomResult("involution", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        if meet[x][comp[x]] != bottom:
-            witness = bind("x", names, (x,))
-            break
-    results.append(
-        AxiomResult("complement-meet", witness is None, witness, note="derived law")
-    )
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if comp[join[x][y]] != meet[comp[x]][comp[y]]:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    results.append(
-        AxiomResult("de-morgan-join", witness is None, witness, note="derived law")
-    )
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if comp[meet[x][y]] != join[comp[x]][comp[y]]:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    results.append(
-        AxiomResult("de-morgan-meet", witness is None, witness, note="derived law")
-    )
+    results = check_laws(ORTHOLATTICE_LAWS, c.lattice, comp=c.comp)
 
     by_id = {r.axiom: r for r in results}
     applicable = by_id["antitony"].passed and by_id["involution"].passed
@@ -141,34 +97,11 @@ def check_orthomodularity(c: OrthoCandidate) -> VerificationReport:
     the two forms pass or fail together; when those prerequisites fail, the
     main entries are still computed but marked conditional.
     """
-    l = c.lattice
-    n, names, comp = l.n, l.names, c.comp
-    join, meet, leq = l.join, l.meet, l.leq
     ortho = verify_ortholattice(c)
-    note = "" if ortho.overall else "conditional: ortholattice axioms do not all hold"
-    results: list[AxiomResult] = []
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y] and join[x][meet[y][comp[x]]] != y:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    v_ok = witness is None
-    results.append(AxiomResult("orthomodularity", v_ok, witness, note=note))
-
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y] and meet[y][join[x][comp[y]]] != x:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    vi_ok = witness is None
-    results.append(AxiomResult("orthomodularity-dual", vi_ok, witness, note=note))
+    results = check_laws(ORTHOMODULAR_LAWS, c.lattice, comp=c.comp)
+    if not ortho.overall:
+        note = "conditional: ortholattice axioms do not all hold"
+        results = [replace(r, note=note) for r in results]
 
     applicable = (
         ortho.passed("complement-join")
@@ -184,7 +117,7 @@ def check_orthomodularity(c: OrthoCandidate) -> VerificationReport:
     else:
         meta = AxiomResult(
             "orthomodularity-agreement",
-            v_ok == vi_ok,
+            results[0].passed == results[1].passed,
             note="the two orthomodularity forms must agree on ortholattices",
         )
     results.append(meta)
@@ -192,32 +125,10 @@ def check_orthomodularity(c: OrthoCandidate) -> VerificationReport:
     return VerificationReport(tuple(results))
 
 
-def distributivity_witness(l: BoundedLattice) -> Witness | None:
-    """First triple violating x ^ (y v z) = (x ^ y) v (x ^ z), if any."""
-    n, names = l.n, l.names
-    join, meet = l.join, l.meet
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    return bind("x,y,z", names, (x, y, z))
-    return None
-
-
-def complementation_witness(l: BoundedLattice, comp: UnaryTable) -> Witness | None:
-    """First element where comp is not a complement (x v x' = 1, x ^ x' = 0)."""
-    for x in range(l.n):
-        if l.join[x][comp[x]] != l.top or l.meet[x][comp[x]] != l.bottom:
-            return bind("x", l.names, (x,))
-    return None
-
-
 def is_boolean(c: OrthoCandidate) -> tuple[bool, Witness | None]:
     """True iff the lattice is distributive and comp is a complementation."""
-    witness = distributivity_witness(c.lattice)
-    if witness is not None:
-        return False, witness
-    witness = complementation_witness(c.lattice, c.comp)
-    if witness is not None:
-        return False, witness
+    for law in BOOLEAN_LAWS:
+        witness = first_violation(law, c.lattice, comp=c.comp)
+        if witness is not None:
+            return False, witness
     return True, None

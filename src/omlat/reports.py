@@ -1,13 +1,16 @@
-"""Per-axiom pass/fail reports with concrete failure witnesses.
+"""Laws as data, one scan primitive, and per-axiom pass/fail reports.
 
-Every checker in the toolkit returns a :class:`VerificationReport` instead of
-raising on failure, so one run fully characterizes a structure.  Witnesses are
-variable-to-element bindings taken from the first violating tuple in row-major
-scan order, which keeps reports deterministic and golden-testable.
+Every axiom in the toolkit is a :class:`Law` row: an id, its variables and a
+Python expression that must hold for every tuple.  :func:`first_violation`
+scans the tuples in row-major order and returns the first failing one as a
+variable-to-element binding, which keeps witnesses deterministic and
+golden-testable.  Every checker returns a :class:`VerificationReport` instead
+of raising on failure, so one run fully characterizes a structure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 # ((variable, element name), ...) bindings, e.g. (("x", "a"), ("y", "b"))
@@ -18,6 +21,67 @@ def bind(variables: str, names: tuple[str, ...], elems: tuple[int, ...]) -> Witn
     """Bind scan variables (comma-separated) to the named elements."""
     vs = [v.strip() for v in variables.split(",")]
     return tuple((v, names[e]) for v, e in zip(vs, elems))
+
+
+@dataclass(frozen=True)
+class Law:
+    """A named law: `holds` must be true for every binding of `vars`.
+
+    `vars` lists the scan variables, comma-separated, outermost first.
+    `holds` is a Python expression over those variables and the table names
+    leq, join, meet, bottom, top, comp, odot and imp.  It is a module
+    constant of the package, never built from input.
+    """
+
+    id: str
+    vars: str
+    holds: str
+    note: str = ""
+
+
+@functools.cache
+def _scanner(variables: str, holds: str):
+    """Compile a law once into nested loops returning its first failing tuple."""
+    vs = variables.split(",")
+    lines = ["def scan(N, leq, join, meet, bottom, top, comp, odot, imp):"]
+    for depth, v in enumerate(vs, 1):
+        lines.append("    " * depth + f"for {v} in N:")
+    lines.append("    " * (len(vs) + 1) + f"if not ({holds}):")
+    lines.append("    " * (len(vs) + 2) + f"return ({', '.join(vs)},)")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["scan"]
+
+
+def _scan_args(lattice, comp=None, odot=None, imp=None) -> tuple:
+    return (
+        range(lattice.n), lattice.leq, lattice.join, lattice.meet,
+        lattice.bottom, lattice.top, comp, odot, imp,
+    )
+
+
+def _violation(law: Law, names, args: tuple) -> Witness | None:
+    hit = _scanner(law.vars, law.holds)(*args)
+    return None if hit is None else bind(law.vars, names, hit)
+
+
+def first_violation(law: Law, lattice, **tables) -> Witness | None:
+    """First tuple in row-major order where the law fails, bound to names.
+
+    The lattice supplies leq, join, meet, bottom and top; `tables` supplies
+    any of comp, odot and imp that the law reads.
+    """
+    return _violation(law, lattice.names, _scan_args(lattice, **tables))
+
+
+def check_laws(laws, lattice, **tables) -> list[AxiomResult]:
+    """One result per law, in the given order."""
+    names, args = lattice.names, _scan_args(lattice, **tables)
+    results = []
+    for law in laws:
+        witness = _violation(law, names, args)
+        results.append(AxiomResult(law.id, witness is None, witness, law.note))
+    return results
 
 
 def format_witness(witness: Witness | None) -> str:

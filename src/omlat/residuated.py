@@ -1,21 +1,23 @@
-"""Left residuated l-groupoid axioms on a bounded lattice.
+"""Left residuated l-groupoid laws on a bounded lattice.
 
 An LrGroupoid carries two total binary tables (odot for the product, imp for
-the residual); the axioms are checked, never assumed.  Core axioms are the
-unit laws and left adjointness; the extra identities (divisibility, antitony
-and double negation for the derived negation x -> bottom, the two Sasaki
-operation identities, and join absorption) are selected through AxiomProfile
-so different hypothesis sets stay expressible.
+the residual); the laws are checked, never assumed.  They are the `Law` rows
+of GROUPOID_LAWS: the two unit laws, left adjointness, divisibility, antitony
+and double negation, the two Sasaki operation identities, and join
+absorption.  Laws that read `comp` see the derived negation x -> bottom, so
+every identity stays self-contained on a bare groupoid.  A profile is a tuple
+of law ids; CORE_AXIOMS, RECOVERY_AXIOMS, ROUND_TRIP_AXIOMS and ALL_AXIOMS
+name the paper's hypothesis sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import TableNotTotalError
+from .errors import TableNotTotalError, UnknownAxiomIdError
 from .order import BoundedLattice, ElementId
 from .ortho import UnaryTable
-from .reports import AxiomResult, VerificationReport, bind
+from .reports import Law, VerificationReport, check_laws
 
 # total n x n table of ElementId, row-major (table[x][y])
 BinOpTable = tuple[tuple[ElementId, ...], ...]
@@ -48,71 +50,34 @@ class LrGroupoid:
         return self.lattice.names
 
 
-@dataclass(frozen=True)
-class AxiomProfile:
-    """Selection of checks to run; at least one flag must be set."""
+GROUPOID_LAWS = (
+    Law("unit-left", "x", "odot[top][x] == x"),
+    Law("unit-right", "x", "odot[x][top] == x"),
+    Law("left-adjointness", "x,y,z", "leq[odot[x][y]][z] == leq[x][imp[y][z]]"),
+    Law("divisibility", "x,y", "odot[imp[x][y]][x] == meet[x][y]"),
+    Law("antitony", "x,y", "not leq[x][y] or leq[comp[y]][comp[x]]"),
+    Law("double-negation", "x", "comp[comp[x]] == x"),
+    Law("sasaki-product", "x,y", "odot[x][y] == meet[join[x][comp[y]]][y]"),
+    Law("sasaki-hook", "x,y", "imp[x][y] == join[meet[y][x]][comp[x]]"),
+    Law("join-absorption", "x,y", "odot[x][join[x][y]] == x"),
+)
 
-    unit: bool = False
-    left_adjointness: bool = False
-    divisibility: bool = False
-    antitony: bool = False
-    double_negation: bool = False
-    sasaki_product: bool = False
-    sasaki_hook: bool = False
-    join_absorption: bool = False
+ALL_AXIOMS = tuple(law.id for law in GROUPOID_LAWS)
 
-    def __post_init__(self):
-        if not any(getattr(self, f.name) for f in fields(self)):
-            raise ValueError("at least one axiom flag must be set")
-
-
-CORE_AXIOMS = AxiomProfile(unit=True, left_adjointness=True)
+CORE_AXIOMS = ("unit-left", "unit-right", "left-adjointness")
 
 # hypothesis set under which the induced complementation must yield an
 # orthomodular lattice: core plus antitony, double negation, the product
 # identity, and join absorption
-RECOVERY_AXIOMS = AxiomProfile(
-    unit=True,
-    left_adjointness=True,
-    antitony=True,
-    double_negation=True,
-    sasaki_product=True,
-    join_absorption=True,
+RECOVERY_AXIOMS = CORE_AXIOMS + (
+    "antitony",
+    "double-negation",
+    "sasaki-product",
+    "join-absorption",
 )
 
 # hypothesis set for the two-way round trip: recovery plus the hook identity
-ROUND_TRIP_AXIOMS = AxiomProfile(
-    unit=True,
-    left_adjointness=True,
-    antitony=True,
-    double_negation=True,
-    sasaki_product=True,
-    sasaki_hook=True,
-    join_absorption=True,
-)
-
-# round-trip set with divisibility required explicitly rather than derived
-ROUND_TRIP_AXIOMS_STRICT = AxiomProfile(
-    unit=True,
-    left_adjointness=True,
-    divisibility=True,
-    antitony=True,
-    double_negation=True,
-    sasaki_product=True,
-    sasaki_hook=True,
-    join_absorption=True,
-)
-
-ALL_AXIOMS = AxiomProfile(
-    unit=True,
-    left_adjointness=True,
-    divisibility=True,
-    antitony=True,
-    double_negation=True,
-    sasaki_product=True,
-    sasaki_hook=True,
-    join_absorption=True,
-)
+ROUND_TRIP_AXIOMS = RECOVERY_AXIOMS + ("sasaki-hook",)
 
 
 def derived_negation(g: LrGroupoid) -> UnaryTable:
@@ -121,176 +86,19 @@ def derived_negation(g: LrGroupoid) -> UnaryTable:
     return tuple(g.imp[x][bottom] for x in range(g.lattice.n))
 
 
-def _unit_results(g: LrGroupoid) -> list[AxiomResult]:
-    n, names, top, odot = g.lattice.n, g.names, g.lattice.top, g.odot
-    results = []
+def verify_lrg(g: LrGroupoid, profile: tuple[str, ...] = ALL_AXIOMS) -> VerificationReport:
+    """Check the laws named by the profile, reported in GROUPOID_LAWS order.
 
-    witness = None
-    for x in range(n):
-        if odot[top][x] != x:
-            witness = bind("x", names, (x,))
-            break
-    results.append(AxiomResult("unit-left", witness is None, witness))
-
-    witness = None
-    for x in range(n):
-        if odot[x][top] != x:
-            witness = bind("x", names, (x,))
-            break
-    results.append(AxiomResult("unit-right", witness is None, witness))
-    return results
-
-
-def _adjointness_result(g: LrGroupoid) -> AxiomResult:
-    n, names = g.lattice.n, g.names
-    leq, odot, imp = g.lattice.leq, g.odot, g.imp
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if leq[odot[x][y]][z] != leq[x][imp[y][z]]:
-                    witness = bind("x,y,z", names, (x, y, z))
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return AxiomResult("left-adjointness", witness is None, witness)
-
-
-def _divisibility_result(g: LrGroupoid) -> AxiomResult:
-    n, names = g.lattice.n, g.names
-    meet, odot, imp = g.lattice.meet, g.odot, g.imp
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if odot[imp[x][y]][x] != meet[x][y]:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    return AxiomResult("divisibility", witness is None, witness)
-
-
-def _antitony_result(g: LrGroupoid, neg: UnaryTable) -> AxiomResult:
-    n, names, leq = g.lattice.n, g.names, g.lattice.leq
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y] and not leq[neg[y]][neg[x]]:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    return AxiomResult("antitony", witness is None, witness)
-
-
-def _double_negation_result(g: LrGroupoid, neg: UnaryTable) -> AxiomResult:
-    n, names = g.lattice.n, g.names
-    witness = None
-    for x in range(n):
-        if neg[neg[x]] != x:
-            witness = bind("x", names, (x,))
-            break
-    return AxiomResult("double-negation", witness is None, witness)
-
-
-def _sasaki_product_result(g: LrGroupoid, neg: UnaryTable) -> AxiomResult:
-    n, names = g.lattice.n, g.names
-    join, meet, odot = g.lattice.join, g.lattice.meet, g.odot
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if odot[x][y] != meet[join[x][neg[y]]][y]:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    return AxiomResult("sasaki-product", witness is None, witness)
-
-
-def _sasaki_hook_result(g: LrGroupoid, neg: UnaryTable) -> AxiomResult:
-    n, names = g.lattice.n, g.names
-    join, meet, imp = g.lattice.join, g.lattice.meet, g.imp
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if imp[x][y] != join[meet[y][x]][neg[x]]:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    return AxiomResult("sasaki-hook", witness is None, witness)
-
-
-def _join_absorption_result(g: LrGroupoid) -> AxiomResult:
-    n, names = g.lattice.n, g.names
-    join, odot = g.lattice.join, g.odot
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if odot[x][join[x][y]] != x:
-                witness = bind("x,y", names, (x, y))
-                break
-        if witness:
-            break
-    return AxiomResult("join-absorption", witness is None, witness)
-
-
-def verify_lrg_core(g: LrGroupoid) -> VerificationReport:
-    """Check both unit laws and the full left adjointness biconditional.
-
-    Adjointness is scanned over all n^3 triples as a literal biconditional:
-    (x odot y) <= z iff x <= (y imp z).
+    Left adjointness is scanned over all n^3 triples as a literal
+    biconditional: (x odot y) <= z iff x <= (y imp z).  An empty profile
+    raises ValueError and an unknown id raises UnknownAxiomIdError.
     """
-    results = _unit_results(g)
-    results.append(_adjointness_result(g))
-    return VerificationReport(tuple(results))
-
-
-def verify_lrg_extras(g: LrGroupoid, profile: AxiomProfile) -> VerificationReport:
-    """Check the extra identities selected by the profile.
-
-    Antitony, double negation, and the two Sasaki identities all use the
-    derived negation x -> bottom; that reading keeps every identity
-    self-contained on a bare groupoid.
-    """
-    neg = derived_negation(g)
-    results: list[AxiomResult] = []
-    if profile.divisibility:
-        results.append(_divisibility_result(g))
-    if profile.antitony:
-        results.append(_antitony_result(g, neg))
-    if profile.double_negation:
-        results.append(_double_negation_result(g, neg))
-    if profile.sasaki_product:
-        results.append(_sasaki_product_result(g, neg))
-    if profile.sasaki_hook:
-        results.append(_sasaki_hook_result(g, neg))
-    if profile.join_absorption:
-        results.append(_join_absorption_result(g))
-    return VerificationReport(tuple(results))
-
-
-def verify_lrg(g: LrGroupoid, profile: AxiomProfile = ALL_AXIOMS) -> VerificationReport:
-    """Run every check selected by the profile, core axioms included."""
-    results: list[AxiomResult] = []
-    if profile.unit:
-        results.extend(_unit_results(g))
-    if profile.left_adjointness:
-        results.append(_adjointness_result(g))
-    extras = verify_lrg_extras(g, profile) if _wants_extras(profile) else None
-    if extras is not None:
-        results.extend(extras.results)
-    return VerificationReport(tuple(results))
-
-
-def _wants_extras(profile: AxiomProfile) -> bool:
-    return (
-        profile.divisibility
-        or profile.antitony
-        or profile.double_negation
-        or profile.sasaki_product
-        or profile.sasaki_hook
-        or profile.join_absorption
+    if not profile:
+        raise ValueError("a profile must name at least one axiom")
+    unknown = sorted(set(profile).difference(ALL_AXIOMS))
+    if unknown:
+        raise UnknownAxiomIdError(f"unknown axiom id {unknown[0]!r} for a groupoid")
+    laws = [law for law in GROUPOID_LAWS if law.id in profile]
+    return VerificationReport(
+        tuple(check_laws(laws, g.lattice, comp=derived_negation(g), odot=g.odot, imp=g.imp))
     )

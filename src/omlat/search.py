@@ -25,14 +25,13 @@ from .order import (
     lattice_from_poset,
 )
 from .ortho import (
+    ORTHO_LAWS,
     OrthoCandidate,
     UnaryTable,
     check_orthomodularity,
-    complementation_witness,
-    distributivity_witness,
     verify_ortholattice,
 )
-from .reports import Witness
+from .reports import Witness, first_violation
 from .residuated import ALL_AXIOMS, LrGroupoid, verify_lrg
 
 MAX_ENUMERATION_SIZE = 9
@@ -208,40 +207,15 @@ def enumerate_omls(cfg: EnumerationConfig) -> list[OrthoCandidate]:
     return pairs
 
 
-ORTHO_AXIOM_IDS = frozenset(
-    {
-        "complement-join",
-        "complement-meet",
-        "antitony",
-        "involution",
-        "de-morgan-join",
-        "de-morgan-meet",
-        "de-morgan-derived",
-        "orthomodularity",
-        "orthomodularity-dual",
-        "orthomodularity-agreement",
-        "distributivity",
-        "complementation",
-    }
-)
+# the two meta entries are judged over a whole suite, not scanned as a law
+_ORTHO_META = {
+    "de-morgan-derived": verify_ortholattice,
+    "orthomodularity-agreement": check_orthomodularity,
+}
 
-GROUPOID_AXIOM_IDS = frozenset(
-    {
-        "unit-left",
-        "unit-right",
-        "left-adjointness",
-        "divisibility",
-        "antitony",
-        "double-negation",
-        "sasaki-product",
-        "sasaki-hook",
-        "join-absorption",
-    }
-)
+ORTHO_AXIOM_IDS = frozenset([law.id for law in ORTHO_LAWS] + list(_ORTHO_META))
 
-_OMOD_IDS = frozenset(
-    {"orthomodularity", "orthomodularity-dual", "orthomodularity-agreement"}
-)
+GROUPOID_AXIOM_IDS = frozenset(ALL_AXIOMS)
 
 
 def find_counterexample(structure, axiom: str) -> Witness | None:
@@ -252,21 +226,14 @@ def find_counterexample(structure, axiom: str) -> Witness | None:
     residuation vocabulary.  Unknown ids raise UnknownAxiomIdError.
     """
     if isinstance(structure, OrthoCandidate):
-        if axiom not in ORTHO_AXIOM_IDS:
-            raise UnknownAxiomIdError(
-                f"unknown axiom id {axiom!r} for an ortho candidate"
-            )
-        if axiom == "distributivity":
-            return distributivity_witness(structure.lattice)
-        if axiom == "complementation":
-            return complementation_witness(structure.lattice, structure.comp)
-        if axiom in _OMOD_IDS:
-            return check_orthomodularity(structure).witness(axiom)
-        return verify_ortholattice(structure).witness(axiom)
+        if axiom in _ORTHO_META:
+            return _ORTHO_META[axiom](structure).witness(axiom)
+        for law in ORTHO_LAWS:
+            if law.id == axiom:
+                return first_violation(law, structure.lattice, comp=structure.comp)
+        raise UnknownAxiomIdError(f"unknown axiom id {axiom!r} for an ortho candidate")
     if isinstance(structure, LrGroupoid):
-        if axiom not in GROUPOID_AXIOM_IDS:
-            raise UnknownAxiomIdError(f"unknown axiom id {axiom!r} for a groupoid")
-        return verify_lrg(structure, ALL_AXIOMS).witness(axiom)
+        return verify_lrg(structure, (axiom,)).witness(axiom)
     raise TypeError(
         f"expected OrthoCandidate or LrGroupoid, got {type(structure).__name__}"
     )

@@ -20,8 +20,8 @@ import oracles
 from conftest import DATA_DIR, make_boolean, make_o6
 from omlat import (
     ALL_AXIOMS,
+    CORE_AXIOMS,
     RECOVERY_AXIOMS,
-    AxiomProfile,
     EnumerationConfig,
     LrGroupoid,
     NotOrthomodularError,
@@ -171,7 +171,7 @@ def test_criterion_3_round_trips_bit_exact(capsys, corpus):
 
 
 def test_criterion_4_recovered_structures_are_orthomodular(capsys):
-    keep = AxiomProfile(unit=True, left_adjointness=True, join_absorption=True)
+    keep = CORE_AXIOMS + ("join-absorption",)
     maps = survivors = violations = 0
     for l in enumerate_bounded_lattices(EnumerationConfig(6)):
         n, names = l.n, l.names

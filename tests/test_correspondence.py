@@ -149,8 +149,10 @@ class TestRoundTrip:
 
     def test_groupoid_failing_profile_is_rejected(self, o6):
         g = sasaki_groupoid(o6, override=True)
-        with pytest.raises(HypothesisViolatedError):
+        with pytest.raises(HypothesisViolatedError) as info:
             round_trip_check(g)
+        assert info.value.axiom == "left-adjointness"
+        assert info.value.witness == (("x", "x"), ("y", "y"), ("z", "x"))
 
     def test_wrong_type(self):
         with pytest.raises(TypeError):

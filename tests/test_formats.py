@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_boolean, make_mo2
 from omlat import (
@@ -10,6 +12,7 @@ from omlat import (
     EnumerationConfig,
     LrGroupoid,
     NotALatticeError,
+    OmlatError,
     OrthoCandidate,
     ParseError,
     TableNotTotalError,
@@ -295,3 +298,76 @@ class TestExportDot:
         dashed = [ln for ln in dot.splitlines() if "dashed" in ln]
         assert len(solid) == 12
         assert len(dashed) == 4
+
+
+# element names for generated files: valid ones, and reserved words or names
+# with a forbidden character
+CLEAN_NAMES = ("0", "1", "a", "b", "c", "a'", "x1", "\u00e9")
+BAD_NAMES = ("kind", "comp", "odot", "p<q", "r=s", "t:u", "v#w")
+FLAWS = (None, "name", "kind", "covers", "section", "width", "order", "drop")
+
+
+@st.composite
+def near_valid_files(draw) -> str:
+    """A valid structure file, or one with a single drawn flaw."""
+    kind = draw(st.sampled_from(["lattice", "ortho", "groupoid"]))
+    names = draw(st.lists(st.sampled_from(CLEAN_NAMES), min_size=1, max_size=6, unique=True))
+    flaw = draw(st.sampled_from(FLAWS))
+    if flaw == "name":
+        i = draw(st.integers(0, len(names) - 1))
+        names[i] = draw(st.sampled_from(BAD_NAMES + CLEAN_NAMES))
+    if flaw == "kind":
+        kind = draw(st.sampled_from(["poset", "", "Lattice", "ortho groupoid"]))
+    pick = st.sampled_from(names)
+    covers = list(zip(names, names[1:]))  # a chain, so always a lattice
+    if flaw == "covers":
+        covers = draw(st.lists(st.tuples(pick, pick), max_size=8))
+    lines = [
+        f"kind: {kind}",
+        "elements: " + " ".join(names),
+        "covers: " + " ".join(f"{lo}<{hi}" for lo, hi in covers),
+    ]
+    with_comp, with_tables = kind == "ortho", kind == "groupoid"
+    if flaw == "section":
+        if draw(st.booleans()):
+            with_comp = not with_comp
+        else:
+            with_tables = not with_tables
+    if with_comp:
+        lines.append("comp: " + " ".join(f"{x}={draw(pick)}" for x in names))
+    if with_tables:
+        for key in ("odot", "imp"):
+            lines.append(f"{key}:")
+            for row in names:
+                width = len(names)
+                if flaw == "width":
+                    width += draw(st.sampled_from([-1, 0, 1]))
+                entries = draw(st.lists(pick, min_size=width, max_size=width))
+                lines.append(f"  {row}: " + " ".join(entries))
+    if flaw == "order":
+        lines = draw(st.permutations(lines))
+    if flaw == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "  # note\n"]))
+
+
+def _parse_rejects_or_round_trips(text: str) -> None:
+    try:
+        structure = parse_structure(text)
+    except OmlatError:
+        return
+    out = serialize_structure(structure)
+    assert parse_structure(out) == structure
+    assert serialize_structure(parse_structure(out)) == out
+
+
+class TestParserFuzz:
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text(self, text):
+        _parse_rejects_or_round_trips(text)
+
+    @given(near_valid_files())
+    @settings(max_examples=300, deadline=None)
+    def test_near_valid_files(self, text):
+        _parse_rejects_or_round_trips(text)

@@ -12,21 +12,28 @@ from omlat import (
     CORE_AXIOMS,
     RECOVERY_AXIOMS,
     ROUND_TRIP_AXIOMS,
-    ROUND_TRIP_AXIOMS_STRICT,
-    AxiomProfile,
     EnumerationConfig,
     LrGroupoid,
     TableNotTotalError,
+    UnknownAxiomIdError,
     derived_negation,
     enumerate_omls,
     lattice_from_covers,
     sasaki_groupoid,
     verify_lrg,
-    verify_lrg_core,
-    verify_lrg_extras,
 )
 
 GROUPOIDS = [sasaki_groupoid(c) for c in enumerate_omls(EnumerationConfig(6))]
+
+# every groupoid law outside CORE_AXIOMS
+EXTRA_AXIOMS = (
+    "divisibility",
+    "antitony",
+    "double-negation",
+    "sasaki-product",
+    "sasaki-hook",
+    "join-absorption",
+)
 
 
 def two_chain_groupoid() -> LrGroupoid:
@@ -46,14 +53,25 @@ def test_tables_must_be_total():
 
 
 def test_profile_requires_a_flag():
+    g = two_chain_groupoid()
     with pytest.raises(ValueError):
-        AxiomProfile()
+        verify_lrg(g, ())
+
+
+def test_profile_reports_in_registry_order():
+    report = verify_lrg(two_chain_groupoid(), ("join-absorption", "unit-left"))
+    assert [r.axiom for r in report.results] == ["unit-left", "join-absorption"]
+
+
+def test_profile_rejects_unknown_ids():
+    with pytest.raises(UnknownAxiomIdError):
+        verify_lrg(two_chain_groupoid(), ("unit-left", "unit"))
 
 
 class TestCore:
     def test_mo2_sasaki_passes(self):
         g = sasaki_groupoid(make_mo2())
-        report = verify_lrg_core(g)
+        report = verify_lrg(g, CORE_AXIOMS)
         assert report.overall
         assert [r.axiom for r in report.results] == [
             "unit-left",
@@ -62,11 +80,11 @@ class TestCore:
         ]
 
     def test_two_chain_classical(self):
-        assert verify_lrg_core(two_chain_groupoid()).overall
+        assert verify_lrg(two_chain_groupoid(), CORE_AXIOMS).overall
 
     def test_o6_fails_adjointness(self):
         g = sasaki_groupoid(make_o6(), override=True)
-        report = verify_lrg_core(g)
+        report = verify_lrg(g, CORE_AXIOMS)
         assert not report.passed("left-adjointness")
         assert report.witness("left-adjointness") == (
             ("x", "x"),
@@ -77,7 +95,7 @@ class TestCore:
     def test_unit_failure_witnessed(self):
         l = lattice_from_covers(["0", "1"], [("0", "1")])
         g = LrGroupoid(l, ((0, 0), (0, 0)), ((1, 1), (0, 1)))
-        report = verify_lrg_core(g)
+        report = verify_lrg(g, CORE_AXIOMS)
         assert not report.passed("unit-left")
         assert report.witness("unit-left") == (("x", "1"),)
         assert not report.passed("unit-right")
@@ -92,7 +110,7 @@ class TestExtras:
         # (a imp b) odot a reduces through a' to the meet of a and b
         assert g.imp[a][b] == l.index("a'")
         assert g.odot[g.imp[a][b]][a] == l.meet[a][b] == l.bottom
-        assert verify_lrg_extras(g, ALL_AXIOMS).overall
+        assert verify_lrg(g, EXTRA_AXIOMS).overall
 
     def test_mo2_join_absorption_example(self):
         g = sasaki_groupoid(make_mo2())
@@ -103,13 +121,13 @@ class TestExtras:
 
     def test_o6_divisibility_fails_with_pair(self):
         g = sasaki_groupoid(make_o6(), override=True)
-        report = verify_lrg_extras(g, ALL_AXIOMS)
+        report = verify_lrg(g, EXTRA_AXIOMS)
         assert not report.passed("divisibility")
         assert report.witness("divisibility") == (("x", "y"), ("y", "x"))
 
     def test_profile_selects_checks(self):
         g = sasaki_groupoid(make_mo2())
-        only_div = verify_lrg_extras(g, AxiomProfile(divisibility=True))
+        only_div = verify_lrg(g, ("divisibility",))
         assert [r.axiom for r in only_div.results] == ["divisibility"]
         recovery = verify_lrg(g, RECOVERY_AXIOMS)
         assert [r.axiom for r in recovery.results] == [
@@ -121,7 +139,7 @@ class TestExtras:
             "sasaki-product",
             "join-absorption",
         ]
-        strict = verify_lrg(g, ROUND_TRIP_AXIOMS_STRICT)
+        strict = verify_lrg(g, ALL_AXIOMS)
         assert {r.axiom for r in strict.results} == {
             "unit-left",
             "unit-right",
