@@ -54,10 +54,11 @@ def induced_oml(
     """Recover an orthomodular lattice from a qualifying groupoid.
 
     The groupoid must pass the given profile, a tuple of law ids (the
-    default is the recovery hypothesis set); violations raise HypothesisViolatedError carrying the
-    failing axiom and witness.  The conclusion is then verified, never
-    assumed: the candidate with comp = derived negation must pass the full
-    ortholattice and orthomodularity suites.
+    default is the recovery hypothesis set); violations raise
+    HypothesisViolatedError carrying the failing axiom and witness.  The
+    conclusion is then verified, never assumed: the candidate with
+    comp = derived negation must pass the full ortholattice and
+    orthomodularity suites.
     """
     hypothesis = verify_lrg(g, profile)
     if not hypothesis.overall:
