@@ -41,7 +41,10 @@ class Law:
 
 @functools.cache
 def _scanner(variables: str, holds: str):
-    """Compile a law once into nested loops returning its first failing tuple."""
+    """Compile a law once into nested loops returning its first failing tuple.
+
+    The compiled loops run like hand-written ones: no Python call per tuple.
+    """
     vs = variables.split(",")
     lines = ["def scan(N, leq, join, meet, bottom, top, comp, odot, imp):"]
     for depth, v in enumerate(vs, 1):

@@ -53,9 +53,8 @@ def test_tables_must_be_total():
 
 
 def test_profile_requires_a_flag():
-    g = two_chain_groupoid()
     with pytest.raises(ValueError):
-        verify_lrg(g, ())
+        verify_lrg(two_chain_groupoid(), ())
 
 
 def test_profile_reports_in_registry_order():
