@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
-from conftest import make_boolean, make_mo2, make_o6
+from conftest import make_boolean
 from omlat import (
     ALL_AXIOMS,
     RECOVERY_AXIOMS,

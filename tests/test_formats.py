@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, make_boolean, make_mo2
+from conftest import DATA_DIR, make_boolean
 from omlat import (
     BoundedLattice,
     EnumerationConfig,

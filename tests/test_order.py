@@ -114,6 +114,23 @@ class TestLatticeFromPoset:
         l = lattice_from_covers(["1", "0"], [("0", "1")])
         assert l.names[l.bottom] == "0" and l.names[l.top] == "1"
 
+    def test_accepts_exactly_the_labeled_lattices(self):
+        # every labeled poset on 1..5 points: 1 + 3 + 19 + 219 + 4231 = 4473
+        seen = 0
+        for n in range(1, 6):
+            names = tuple(f"e{i}" for i in range(n))
+            for down in oracles.labeled_posets(n):
+                leq = tuple(tuple(row) for row in oracles.poset_leq_matrix(down))
+                seen += 1
+                try:
+                    l = lattice_from_poset(FinitePoset(names, leq))
+                except (NotALatticeError, NotBoundedError):
+                    assert not oracles.is_labeled_lattice(down)
+                    continue
+                assert oracles.is_labeled_lattice(down)
+                assert verify_lattice(l).overall
+        assert seen == 4473
+
 
 class TestVerifyLattice:
     @pytest.mark.parametrize("l", CORPUS, ids=lambda l: f"n{l.n}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_boolean, make_mo2, make_o6
+from conftest import make_mo2, make_o6
 from omlat import (
     ALL_AXIOMS,
     CORE_AXIOMS,
