@@ -3,6 +3,13 @@
 Elements are dense integer ids 0..n-1 with display names kept alongside; all
 computation runs on indices and every report renders names.  Join and meet are
 precomputed n x n tables so every law in the package is a plain table scan.
+
+Order computations work on bitmasks: `up_sets` turns the order matrix into
+up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
+`order_matrix` turns masks back into the matrix that the law rows read.  The
+cover closure runs on masks, covers are the two-element intervals, and join
+and meet come from up-set (down-set) intersection: the upper bounds of x and
+y are up[x] & up[y], and x v y is the element whose up-set is exactly that.
 The lattice laws are the `Law` rows of LATTICE_LAWS, which `verify_lattice`
 checks in order.  Structures are frozen after construction and safe to share.
 
@@ -119,28 +126,28 @@ def poset_from_covers(names, covers) -> FinitePoset:
         seen.add(name)
     idx = {name: i for i, name in enumerate(names)}
     n = len(names)
-    rel = [[x == y for y in range(n)] for x in range(n)]
+    up = [1 << x for x in range(n)]
     for lo, hi in covers:
         if lo not in idx:
             raise UnknownElementError(f"unknown element {lo!r} in cover {lo}<{hi}")
         if hi not in idx:
             raise UnknownElementError(f"unknown element {hi!r} in cover {lo}<{hi}")
-        rel[idx[lo]][idx[hi]] = True
+        up[idx[lo]] |= 1 << idx[hi]
     for k in range(n):
-        rk = rel[k]
+        bit, uk = 1 << k, up[k]
         for x in range(n):
-            if rel[x][k]:
-                rx = rel[x]
-                for y in range(n):
-                    if rk[y]:
-                        rx[y] = True
+            if up[x] & bit:
+                up[x] |= uk
+    down = down_sets(up)
     for x in range(n):
-        for y in range(x + 1, n):
-            if rel[x][y] and rel[y][x]:
-                raise CycleDetectedError(
-                    f"cycle through {names[x]!r} and {names[y]!r}: input is not a partial order"
-                )
-    return FinitePoset(names, tuple(tuple(row) for row in rel))
+        # later elements both above and below x; the first one names the cycle
+        cyclic = (up[x] & down[x]) >> (x + 1)
+        if cyclic:
+            y = x + (cyclic & -cyclic).bit_length()
+            raise CycleDetectedError(
+                f"cycle through {names[x]!r} and {names[y]!r}: input is not a partial order"
+            )
+    return FinitePoset(names, order_matrix(up))
 
 
 def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
@@ -153,12 +160,17 @@ def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
     n = p.n
     if n == 0:
         raise NotBoundedError("empty carrier has no bottom element")
-    leq = p.leq
-    bottoms = [x for x in range(n) if all(leq[x][y] for y in range(n))]
-    if not bottoms:
+    up = up_sets(p.leq)
+    down = down_sets(up)
+    # in a partial order distinct elements have distinct up-sets and down-sets
+    by_up = {u: x for x, u in enumerate(up)}
+    by_down = {d: x for x, d in enumerate(down)}
+    everything = (1 << n) - 1
+    bottom = by_up.get(everything)
+    if bottom is None:
         raise NotBoundedError("no bottom element")
-    tops = [x for x in range(n) if all(leq[y][x] for y in range(n))]
-    if not tops:
+    top = by_down.get(everything)
+    if top is None:
         raise NotBoundedError("no top element")
     join_rows: list[tuple[ElementId, ...]] = []
     meet_rows: list[tuple[ElementId, ...]] = []
@@ -166,27 +178,25 @@ def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
         jrow: list[ElementId] = []
         mrow: list[ElementId] = []
         for y in range(n):
-            ubs = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            least = [u for u in ubs if all(leq[u][z] for z in ubs)]
-            if len(least) != 1:
+            j = by_up.get(up[x] & up[y])
+            if j is None:
                 raise NotALatticeError(
                     f"no least upper bound for ({p.names[x]}, {p.names[y]})",
                     pair=(p.names[x], p.names[y]),
                     kind="join",
                 )
-            jrow.append(least[0])
-            lbs = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            greatest = [u for u in lbs if all(leq[z][u] for z in lbs)]
-            if len(greatest) != 1:
+            jrow.append(j)
+            m = by_down.get(down[x] & down[y])
+            if m is None:
                 raise NotALatticeError(
                     f"no greatest lower bound for ({p.names[x]}, {p.names[y]})",
                     pair=(p.names[x], p.names[y]),
                     kind="meet",
                 )
-            mrow.append(greatest[0])
+            mrow.append(m)
         join_rows.append(tuple(jrow))
         meet_rows.append(tuple(mrow))
-    return BoundedLattice(p, tuple(join_rows), tuple(meet_rows), bottoms[0], tops[0])
+    return BoundedLattice(p, tuple(join_rows), tuple(meet_rows), bottom, top)
 
 
 def lattice_from_covers(names, covers) -> BoundedLattice:
@@ -194,18 +204,15 @@ def lattice_from_covers(names, covers) -> BoundedLattice:
 
 
 def transitive_reduction(p: FinitePoset) -> tuple[tuple[ElementId, ElementId], ...]:
-    """Cover pairs (x, y): x < y with no element strictly between."""
-    n = p.n
-    leq = p.leq
-    covers: list[tuple[ElementId, ElementId]] = []
-    for x in range(n):
-        for y in range(n):
-            if x == y or not leq[x][y]:
-                continue
-            if any(z != x and z != y and leq[x][z] and leq[z][y] for z in range(n)):
-                continue
-            covers.append((x, y))
-    return tuple(covers)
+    """Cover pairs (x, y), x < y with no element strictly between, row-major."""
+    up = up_sets(p.leq)
+    down = down_sets(up)
+    return tuple(
+        (x, y)
+        for x in range(p.n)
+        for y in range(p.n)
+        if x != y and up[x] & down[y] == (1 << x) | (1 << y)
+    )
 
 
 LATTICE_LAWS = (
@@ -266,6 +273,17 @@ def relabel_lattice(l: BoundedLattice, perm) -> BoundedLattice:
     return BoundedLattice(
         FinitePoset(names, leq), join, meet, perm[l.bottom], perm[l.top]
     )
+
+
+def up_sets(leq) -> list[int]:
+    """Up-set bitmasks from an order matrix: bit y of up[x] iff x <= y."""
+    return [sum(1 << y for y, v in enumerate(row) if v) for row in leq]
+
+
+def order_matrix(up) -> tuple[tuple[bool, ...], ...]:
+    """Order matrix from up-set bitmasks: leq[x][y] iff bit y of up[x]."""
+    n = len(up)
+    return tuple(tuple(bool((u >> y) & 1) for y in range(n)) for u in up)
 
 
 def down_sets(up) -> list[int]:
@@ -352,8 +370,7 @@ def canonical_certificate(l: BoundedLattice, u=None) -> CanonicalCertificate:
     n = l.n
     if u is not None:
         u = check_unary_table(n, u)
-    up = [sum(1 << y for y, v in enumerate(row) if v) for row in l.leq]
-    _, order = canonical_labeling(up, u)
+    _, order = canonical_labeling(up_sets(l.leq), u)
     pos_list = [0] * n
     for new, old in enumerate(order):
         pos_list[old] = new

@@ -23,6 +23,7 @@ from .order import (
     canonical_labeling,
     down_sets,
     lattice_from_poset,
+    order_matrix,
 )
 from .ortho import (
     ORTHO_LAWS,
@@ -154,10 +155,7 @@ def _semilattice_extensions(up: tuple[int, ...], n: int) -> list[tuple[int, ...]
 
 def _lattice_from_order_rows(up, n: int) -> BoundedLattice:
     names = tuple(f"e{i}" for i in range(n))
-    leq = tuple(
-        tuple(bool((up[x] >> y) & 1) for y in range(n)) for x in range(n)
-    )
-    return lattice_from_poset(FinitePoset(names, leq))
+    return lattice_from_poset(FinitePoset(names, order_matrix(up)))
 
 
 def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
