@@ -39,6 +39,7 @@ from .ortho import (
     UnaryTable,
     check_orthomodularity,
     is_boolean,
+    verify_oml,
     verify_ortholattice,
 )
 from .reports import AxiomResult, VerificationReport, Witness, format_witness
@@ -121,5 +122,6 @@ __all__ = [
     "transitive_reduction",
     "verify_lattice",
     "verify_lrg",
+    "verify_oml",
     "verify_ortholattice",
 ]

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .formats import export_dot, parse_structure, serialize_structure
 from .order import BoundedLattice, verify_lattice
-from .ortho import OrthoCandidate, check_orthomodularity, verify_ortholattice
+from .ortho import OrthoCandidate, verify_oml, verify_ortholattice
 from .reports import VerificationReport, format_witness
 from .residuated import (
     ALL_AXIOMS,
@@ -74,9 +74,10 @@ def _cmd_check(args) -> int:
     if isinstance(structure, BoundedLattice):
         report = verify_lattice(structure)
     elif isinstance(structure, OrthoCandidate):
-        report = verify_ortholattice(structure)
-        if args.profile != "core":
-            report = report.merged(check_orthomodularity(structure))
+        if args.profile == "core":
+            report = verify_ortholattice(structure)
+        else:
+            report = verify_oml(structure)
     else:
         report = verify_lrg(structure, _GROUPOID_PROFILES[args.profile])
     _emit_report(report, f"{args.file} ({args.profile})", args.report)

@@ -11,7 +11,7 @@ to isomorphism: both constructions keep the carrier fixed.
 from __future__ import annotations
 
 from .errors import HypothesisViolatedError, NotOrthomodularError
-from .ortho import OrthoCandidate, check_orthomodularity, verify_ortholattice
+from .ortho import OrthoCandidate, verify_oml
 from .reports import AxiomResult, VerificationReport, bind
 from .residuated import (
     RECOVERY_AXIOMS,
@@ -30,7 +30,7 @@ def sasaki_groupoid(c: OrthoCandidate, override: bool = False) -> LrGroupoid:
     pushed through the defining equations for counterexample studies.
     """
     if not override:
-        report = verify_ortholattice(c).merged(check_orthomodularity(c))
+        report = verify_oml(c)
         if not report.overall:
             failed = ", ".join(r.axiom for r in report.failures)
             raise NotOrthomodularError(
@@ -69,9 +69,7 @@ def induced_oml(
             witness=first.witness,
         )
     candidate = OrthoCandidate(g.lattice, derived_negation(g))
-    conclusion = verify_ortholattice(candidate).merged(
-        check_orthomodularity(candidate)
-    )
+    conclusion = verify_oml(candidate)
     if not conclusion.overall:
         failed = ", ".join(r.axiom for r in conclusion.failures)
         raise NotOrthomodularError(
@@ -118,7 +116,8 @@ def round_trip_check(structure) -> VerificationReport:
     if isinstance(structure, LrGroupoid):
         g = structure
         candidate = induced_oml(g, ROUND_TRIP_AXIOMS)
-        back = sasaki_groupoid(candidate)
+        # induced_oml has just verified that candidate is an OML
+        back = sasaki_groupoid(candidate, override=True)
         results = (
             _table_mismatch(g.names, back.odot, g.odot, "roundtrip-odot"),
             _table_mismatch(g.names, back.imp, g.imp, "roundtrip-imp"),

@@ -97,7 +97,21 @@ def check_orthomodularity(c: OrthoCandidate) -> VerificationReport:
     the two forms pass or fail together; when those prerequisites fail, the
     main entries are still computed but marked conditional.
     """
+    return _orthomodularity(c, verify_ortholattice(c))
+
+
+def verify_oml(c: OrthoCandidate) -> VerificationReport:
+    """The ortholattice suite followed by the orthomodularity checks.
+
+    Equal to verify_ortholattice(c).merged(check_orthomodularity(c)), but the
+    ortholattice laws are scanned once.
+    """
     ortho = verify_ortholattice(c)
+    return ortho.merged(_orthomodularity(c, ortho))
+
+
+def _orthomodularity(c: OrthoCandidate, ortho: VerificationReport) -> VerificationReport:
+    """The check_orthomodularity report, given c's ortholattice report."""
     results = check_laws(ORTHOMODULAR_LAWS, c.lattice, comp=c.comp)
     if not ortho.overall:
         note = "conditional: ortholattice axioms do not all hold"

@@ -30,6 +30,7 @@ from .ortho import (
     OrthoCandidate,
     UnaryTable,
     check_orthomodularity,
+    verify_oml,
     verify_ortholattice,
 )
 from .reports import Witness, first_violation
@@ -84,14 +85,9 @@ def enumerate_orthocomplements(
         x = next((v for v in range(n) if v not in comp), None)
         if x is None:
             table = tuple(comp[v] for v in range(n))
-            report = verify_ortholattice(OrthoCandidate(l, table))
-            if not report.overall:
-                return
-            if require_omod and not check_orthomodularity(
-                OrthoCandidate(l, table)
-            ).overall:
-                return
-            found.append(table)
+            check = verify_oml if require_omod else verify_ortholattice
+            if check(OrthoCandidate(l, table)).overall:
+                found.append(table)
             return
         for y in candidates[x]:
             if y in comp or (y == x and n > 1):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import oracles
 from conftest import make_boolean
+import omlat
 from omlat import (
     ALL_AXIOMS,
     RECOVERY_AXIOMS,
@@ -153,6 +156,26 @@ class TestRoundTrip:
             round_trip_check(g)
         assert info.value.axiom == "left-adjointness"
         assert info.value.witness == (("x", "x"), ("y", "y"), ("z", "x"))
+
+    def test_ortholattice_suite_runs_once_per_construction(self, mo2, monkeypatch):
+        calls = []
+        original = omlat.ortho.verify_ortholattice
+
+        def counted(c):
+            calls.append(c)
+            return original(c)
+
+        g = sasaki_groupoid(mo2)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("omlat") and (
+                getattr(module, "verify_ortholattice", None) is original
+            ):
+                monkeypatch.setattr(module, "verify_ortholattice", counted)
+        round_trip_check(mo2)
+        assert len(calls) == 2  # the sasaki_groupoid gate and induced_oml
+        calls.clear()
+        round_trip_check(g)
+        assert len(calls) == 1  # induced_oml only
 
     def test_wrong_type(self):
         with pytest.raises(TypeError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from omlat import (
     enumerate_orthocomplements,
     is_boolean,
     lattice_from_covers,
+    verify_oml,
     verify_ortholattice,
 )
 
@@ -148,6 +150,17 @@ def test_verification_is_isomorphism_invariant(data):
     assert [(r.axiom, r.passed) for r in original.results] == [
         (r.axiom, r.passed) for r in permuted.results
     ]
+
+
+def test_verify_oml_equals_the_merged_pair():
+    rng = random.Random(5)
+    candidates = list(ORTHO_PAIRS)
+    for l in CORPUS:
+        for _ in range(6):
+            candidates.append(OrthoCandidate(l, [rng.randrange(l.n) for _ in range(l.n)]))
+    for c in candidates:
+        assert verify_oml(c) == verify_ortholattice(c).merged(check_orthomodularity(c))
+    assert not all(verify_oml(c).overall for c in candidates)
 
 
 def test_trivial_candidate_passes_everything():
