@@ -3,6 +3,8 @@
 Elements are dense integer ids 0..n-1 with display names kept alongside; all
 computation runs on indices and every report renders names.  Join and meet are
 precomputed n x n tables so every law in the package is a plain table scan.
+The lattice laws are the `Law` rows of LATTICE_LAWS, which `verify_lattice`
+checks in order.  Structures are frozen after construction and safe to share.
 
 Order computations work on bitmasks: `up_sets` turns the order matrix into
 up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
@@ -10,8 +12,6 @@ up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
 cover closure runs on masks, covers are the two-element intervals, and join
 and meet come from up-set (down-set) intersection: the upper bounds of x and
 y are up[x] & up[y], and x v y is the element whose up-set is exactly that.
-The lattice laws are the `Law` rows of LATTICE_LAWS, which `verify_lattice`
-checks in order.  Structures are frozen after construction and safe to share.
 
 The one canonical form, `canonical_labeling`, refines the elements into an
 isomorphism-invariant partition and minimizes the relabeled order matrix over
@@ -162,16 +162,16 @@ def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
         raise NotBoundedError("empty carrier has no bottom element")
     up = up_sets(p.leq)
     down = down_sets(up)
-    # in a partial order distinct elements have distinct up-sets and down-sets
-    by_up = {u: x for x, u in enumerate(up)}
-    by_down = {d: x for x, d in enumerate(down)}
     everything = (1 << n) - 1
-    bottom = by_up.get(everything)
-    if bottom is None:
+    if everything not in up:
         raise NotBoundedError("no bottom element")
-    top = by_down.get(everything)
-    if top is None:
+    if everything not in down:
         raise NotBoundedError("no top element")
+    # The upper bounds of x and y are up[x] & up[y]; the lub is the element
+    # whose up-set is exactly that, and there is none when no element or, in
+    # a relation that is not antisymmetric, several elements have it.
+    by_up = {u: x for x, u in enumerate(up) if up.count(u) == 1}
+    by_down = {d: x for x, d in enumerate(down) if down.count(d) == 1}
     join_rows: list[tuple[ElementId, ...]] = []
     meet_rows: list[tuple[ElementId, ...]] = []
     for x in range(n):
@@ -196,6 +196,7 @@ def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
             mrow.append(m)
         join_rows.append(tuple(jrow))
         meet_rows.append(tuple(mrow))
+    bottom, top = up.index(everything), down.index(everything)
     return BoundedLattice(p, tuple(join_rows), tuple(meet_rows), bottom, top)
 
 

@@ -68,6 +68,7 @@ def enumerate_orthocomplements(
     if any(not c for c in candidates):
         return []
 
+    check = verify_oml if require_omod else verify_ortholattice
     found: list[UnaryTable] = []
     comp: dict[int, int] = {}
 
@@ -85,7 +86,6 @@ def enumerate_orthocomplements(
         x = next((v for v in range(n) if v not in comp), None)
         if x is None:
             table = tuple(comp[v] for v in range(n))
-            check = verify_oml if require_omod else verify_ortholattice
             if check(OrthoCandidate(l, table)).overall:
                 found.append(table)
             return

@@ -114,6 +114,13 @@ class TestLatticeFromPoset:
         l = lattice_from_covers(["1", "0"], [("0", "1")])
         assert l.names[l.bottom] == "0" and l.names[l.top] == "1"
 
+    def test_relation_that_is_not_antisymmetric_rejected(self):
+        # p and q share their up-set, so no pair has a unique lub
+        p = FinitePoset(("p", "q"), ((True, True), (True, True)))
+        with pytest.raises(NotALatticeError) as exc:
+            lattice_from_poset(p)
+        assert (exc.value.pair, exc.value.kind) == (("p", "p"), "join")
+
     def test_accepts_exactly_the_labeled_lattices(self):
         # every labeled poset on 1..5 points: 1 + 3 + 19 + 219 + 4231 = 4473
         seen = 0
