@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 from omlat import (
@@ -35,6 +36,10 @@ from omlat import (
     verify_lrg,
     verify_ortholattice,
 )
+from omlat.order import LATTICE_LAWS, BoundedLattice, FinitePoset
+from omlat.ortho import ORTHO_LAWS
+from omlat.reports import bind, first_violation
+from omlat.residuated import GROUPOID_LAWS
 
 PINNED_REPORTS = (
     6808,
@@ -111,3 +116,61 @@ def test_law_reports_are_pinned():
         lines += 1
         failing += line.count("FAIL  ")
     assert (lines, failing, digest.hexdigest()) == PINNED_REPORTS
+
+
+NAIVE_TRIALS = 400
+
+
+def _random_tables(rng: random.Random, n: int) -> dict:
+    """Total tables on n elements with no lattice structure assumed."""
+    density = rng.random()
+
+    def square(values):
+        return tuple(tuple(values() for _ in range(n)) for _ in range(n))
+
+    return {
+        "leq": square(lambda: rng.random() < density),
+        "join": square(lambda: rng.randrange(n)),
+        "meet": square(lambda: rng.randrange(n)),
+        "bottom": rng.randrange(n),
+        "top": rng.randrange(n),
+        "comp": tuple(rng.randrange(n) for _ in range(n)),
+        "odot": square(lambda: rng.randrange(n)),
+        "imp": square(lambda: rng.randrange(n)),
+    }
+
+
+def _naive_first_violation(law, tables: dict, n: int):
+    """First tuple in row-major order where `law.holds` evaluates false."""
+    code = compile(law.holds, law.id, "eval")
+    vs = law.vars.split(",")
+    for elems in itertools.product(range(n), repeat=len(vs)):
+        if not eval(code, tables | {"N": range(n)} | dict(zip(vs, elems))):
+            return elems
+    return None
+
+
+def test_compiled_scans_match_naive_evaluation():
+    rng = random.Random(20261018)
+    laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
+    assert len(laws) == 27
+    witnesses = 0
+    for _ in range(NAIVE_TRIALS):
+        n = rng.randint(1, 6)
+        tables = _random_tables(rng, n)
+        names = tuple(f"e{i}" for i in range(n))
+        lattice = BoundedLattice(
+            FinitePoset(names, tables["leq"]),
+            tables["join"],
+            tables["meet"],
+            tables["bottom"],
+            tables["top"],
+        )
+        ops = {k: tables[k] for k in ("comp", "odot", "imp")}
+        for law in laws:
+            hit = _naive_first_violation(law, tables, n)
+            want = None if hit is None else bind(law.vars, names, hit)
+            assert first_violation(law, lattice, **ops) == want, (law.id, tables)
+            witnesses += hit is not None
+    # both outcomes are exercised
+    assert 0 < witnesses < NAIVE_TRIALS * len(laws)
