@@ -4,12 +4,14 @@ Every axiom in the toolkit is a :class:`Law` row: an id, its variables and a
 Python expression that must hold for every tuple.  :func:`first_violation`
 scans the tuples in row-major order and returns the first failing one as a
 variable-to-element binding, which keeps witnesses deterministic and
-golden-testable.  Every checker returns a :class:`VerificationReport` instead
+golden-testable.  Each law compiles once into nested loops in which every
+table row is looked up in the outermost loop that fixes it.  Every checker returns a :class:`VerificationReport` instead
 of raising on failure, so one run fully characterizes a structure.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 from dataclasses import dataclass
 
@@ -39,17 +41,85 @@ class Law:
     note: str = ""
 
 
+# tables a law indexes; they are total, so any lookup in them is safe to make early
+_TABLES = frozenset(("leq", "join", "meet", "comp", "odot", "imp"))
+
+
+def _hoist(vs: list[str], holds: str) -> tuple[str, list[list[str]]]:
+    """Move each table lookup to the outermost loop that binds its variables.
+
+    Returns the innermost test and, per loop depth (0 before the first loop),
+    the temporaries to assign there.  A chain such as leq[odot[x][y]] that
+    reads only x and y is computed once per (x, y), not once per (x, y, z);
+    inside a generator, whose own variable the scan does not bind, chains
+    free of that variable move to the innermost loop.
+    """
+    depth_of = {v: d for d, v in enumerate(vs, 1)}
+    depth_of.update(dict.fromkeys(_TABLES | {"bottom", "top"}, 0))
+    assigns: list[list[str]] = [[] for _ in range(len(vs) + 1)]
+    temps: dict[str, str] = {}
+    depth: dict[int, int | None] = {}
+
+    def measure(node) -> int | None:
+        """Innermost loop depth the node reads, or None if it reads another name."""
+        ds = [measure(child) for child in ast.iter_child_nodes(node)]
+        if isinstance(node, ast.Name):
+            d = depth_of.get(node.id)
+        else:
+            d = None if None in ds else max(ds, default=0)
+        depth[id(node)] = d
+        return d
+
+    def is_chain(node) -> bool:
+        """A lookup such as leq[x] or join[x][comp[y]] into one of the tables."""
+        if not isinstance(node, ast.Subscript):
+            return False
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in _TABLES
+
+    def rewrite(node, limit: int):
+        if isinstance(node, ast.GeneratorExp):
+            limit = len(vs) + 1
+        if is_chain(node):
+            d = depth[id(node)]
+            if d is not None and d < limit:
+                source = ast.unparse(rewrite_fields(node, d))
+                if source not in temps:
+                    temps[source] = f"_h{len(temps)}"
+                    assigns[d].append(f"{temps[source]} = {source}")
+                return ast.Name(temps[source], ast.Load())
+        return rewrite_fields(node, limit)
+
+    def rewrite_fields(node, limit: int):
+        for field, value in ast.iter_fields(node):
+            if isinstance(value, ast.AST):
+                setattr(node, field, rewrite(value, limit))
+            elif isinstance(value, list):
+                setattr(node, field, [rewrite(v, limit) if isinstance(v, ast.AST) else v for v in value])
+        return node
+
+    tree = ast.parse(holds, mode="eval").body
+    measure(tree)
+    test = rewrite(tree, len(vs))
+    return ast.unparse(test), assigns
+
+
 @functools.cache
 def _scanner(variables: str, holds: str):
     """Compile a law once into nested loops returning its first failing tuple.
 
-    The compiled loops run like hand-written ones: no Python call per tuple.
+    The compiled loops run like hand-written ones: no Python call per tuple,
+    and every table row is looked up in the outermost loop that fixes it.
     """
     vs = variables.split(",")
+    test, assigns = _hoist(vs, holds)
     lines = ["def scan(N, leq, join, meet, bottom, top, comp, odot, imp):"]
+    lines += ["    " + a for a in assigns[0]]
     for depth, v in enumerate(vs, 1):
         lines.append("    " * depth + f"for {v} in N:")
-    lines.append("    " * (len(vs) + 1) + f"if not ({holds}):")
+        lines += ["    " * (depth + 1) + a for a in assigns[depth]]
+    lines.append("    " * (len(vs) + 1) + f"if not ({test}):")
     lines.append("    " * (len(vs) + 2) + f"return ({', '.join(vs)},)")
     namespace: dict = {}
     exec("\n".join(lines), namespace)
