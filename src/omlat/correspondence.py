@@ -38,12 +38,16 @@ def sasaki_groupoid(c: OrthoCandidate, override: bool = False) -> LrGroupoid:
                 report=report,
             )
     l = c.lattice
-    n, join, meet, comp = l.n, l.join, l.meet, c.comp
+    join, meet, comp = l.join, l.meet, c.comp
+    # odot[x][y] = meet[join[x][comp[y]]][y], one row of join per x
     odot = tuple(
-        tuple(meet[join[x][comp[y]]][y] for y in range(n)) for x in range(n)
+        tuple([meet[jx[cy]][y] for y, cy in enumerate(comp)]) for jx in join
     )
+    # imp[x][y] = join[meet[y][x]][comp[x]] reads column x of meet and column
+    # comp[x] of join: take them as rows of the transposed tables
+    join_cols, meet_cols = tuple(zip(*join)), tuple(zip(*meet))
     imp = tuple(
-        tuple(join[meet[y][x]][comp[x]] for y in range(n)) for x in range(n)
+        tuple([join_cols[cx][m] for m in meet_cols[x]]) for x, cx in enumerate(comp)
     )
     return LrGroupoid(l, odot, imp)
 
@@ -80,10 +84,11 @@ def induced_oml(
 
 
 def _table_mismatch(names, got, want, axiom: str) -> AxiomResult:
-    n = len(names)
-    for x in range(n):
-        for y in range(n):
-            if got[x][y] != want[x][y]:
+    for x, (got_row, want_row) in enumerate(zip(got, want)):
+        if got_row == want_row:
+            continue
+        for y, (g, w) in enumerate(zip(got_row, want_row)):
+            if g != w:
                 return AxiomResult(axiom, False, bind("x,y", names, (x, y)))
     return AxiomResult(axiom, True)
 

@@ -26,7 +26,7 @@ BinOpTable = tuple[tuple[ElementId, ...], ...]
 def check_binop_table(n: int, table) -> BinOpTable:
     table = tuple(tuple(row) for row in table)
     if len(table) != n or any(
-        len(row) != n or any(not (0 <= v < n) for v in row) for row in table
+        len(row) != n or min(row) < 0 or max(row) >= n for row in table
     ):
         raise TableNotTotalError("binary table must be total on the carrier")
     return table
