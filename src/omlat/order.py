@@ -110,12 +110,8 @@ def check_unary_table(n: int, u) -> tuple[ElementId, ...]:
     return u
 
 
-def poset_from_covers(names, covers) -> FinitePoset:
-    """Build the reflexive-transitive closure of a cover relation.
-
-    `covers` is an iterable of (lower, upper) name pairs.  Rejects duplicate
-    or empty names, unknown cover endpoints, and cyclic input.
-    """
+def _closure(names, covers) -> tuple[tuple[str, ...], list[int], list[int]]:
+    """Validated names and the up-set and down-set masks of the cover closure."""
     names = tuple(names)
     seen: set[str] = set()
     for name in names:
@@ -147,6 +143,16 @@ def poset_from_covers(names, covers) -> FinitePoset:
             raise CycleDetectedError(
                 f"cycle through {names[x]!r} and {names[y]!r}: input is not a partial order"
             )
+    return names, up, down
+
+
+def poset_from_covers(names, covers) -> FinitePoset:
+    """Build the reflexive-transitive closure of a cover relation.
+
+    `covers` is an iterable of (lower, upper) name pairs.  Rejects duplicate
+    or empty names, unknown cover endpoints, and cyclic input.
+    """
+    names, up, _ = _closure(names, covers)
     return FinitePoset(names, order_matrix(up))
 
 
@@ -157,11 +163,15 @@ def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
     NotBoundedError, a pair without a least upper (greatest lower) bound
     raises NotALatticeError naming the offending pair.
     """
+    up = up_sets(p.leq)
+    return _lattice_from_up(p, up, down_sets(up))
+
+
+def _lattice_from_up(p: FinitePoset, up: list[int], down: list[int]) -> BoundedLattice:
+    """The lattice on p, whose up-set and down-set masks are `up` and `down`."""
     n = p.n
     if n == 0:
         raise NotBoundedError("empty carrier has no bottom element")
-    up = up_sets(p.leq)
-    down = down_sets(up)
     everything = (1 << n) - 1
     if everything not in up:
         raise NotBoundedError("no bottom element")
@@ -201,7 +211,9 @@ def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
 
 
 def lattice_from_covers(names, covers) -> BoundedLattice:
-    return lattice_from_poset(poset_from_covers(names, covers))
+    """`lattice_from_poset(poset_from_covers(names, covers))`, kept on masks."""
+    names, up, down = _closure(names, covers)
+    return _lattice_from_up(FinitePoset(names, order_matrix(up)), up, down)
 
 
 def transitive_reduction(p: FinitePoset) -> tuple[tuple[ElementId, ElementId], ...]:

@@ -19,10 +19,10 @@ from .errors import SizeLimitExceededError, UnknownAxiomIdError
 from .order import (
     BoundedLattice,
     FinitePoset,
+    _lattice_from_up,
     canonical_certificate,
     canonical_labeling,
     down_sets,
-    lattice_from_poset,
     order_matrix,
 )
 from .ortho import (
@@ -151,7 +151,7 @@ def _semilattice_extensions(up: tuple[int, ...], n: int) -> list[tuple[int, ...]
 
 def _lattice_from_order_rows(up, n: int) -> BoundedLattice:
     names = tuple(f"e{i}" for i in range(n))
-    return lattice_from_poset(FinitePoset(names, order_matrix(up)))
+    return _lattice_from_up(FinitePoset(names, order_matrix(up)), up, down_sets(up))
 
 
 def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,77 @@ class TestLatticeFromPoset:
                 assert oracles.is_labeled_lattice(down)
                 assert verify_lattice(l).overall
         assert seen == 4473
+
+
+def _built(build, *args):
+    """What `build(*args)` returns, or its error's type, message, pair and kind."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return (
+            type(exc),
+            str(exc),
+            getattr(exc, "pair", None),
+            getattr(exc, "kind", None),
+        )
+
+
+def _in_two_steps(names, covers):
+    return lattice_from_poset(poset_from_covers(names, covers))
+
+
+class TestLatticeFromCovers:
+    def test_equals_the_two_step_construction_on_every_labeled_poset(self):
+        for n in range(0, 6):
+            names = tuple(f"e{i}" for i in range(n))
+            for down in oracles.labeled_posets(n) if n else [()]:
+                leq = oracles.poset_leq_matrix(down)
+                covers = [
+                    (names[x], names[y])
+                    for x in range(n)
+                    for y in range(n)
+                    if x != y and leq[x][y]
+                ]
+                assert _built(lattice_from_covers, names, covers) == _built(
+                    _in_two_steps, names, covers
+                )
+
+    def test_equals_the_two_step_construction_on_random_covers(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(3000):
+            n = rng.randrange(0, 10)
+            names = [f"v{i}" for i in range(n)]
+            rng.shuffle(names)
+            covers = []
+            for _ in range(rng.randrange(0, 3 * n + 1)):
+                r = rng.random()
+                if r < 0.05:
+                    covers.append((rng.choice(names), "stranger"))
+                elif r < 0.1:
+                    v = rng.choice(names)
+                    covers.append((v, v))
+                else:
+                    # mostly upward in list order, so that most are acyclic
+                    a, b = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+                    if r < 0.2:
+                        a, b = b, a
+                    covers.append((names[a], names[b]))
+            if n > 1 and rng.random() < 0.6:
+                # a bottom and a top around everything: bounded, not always a lattice
+                covers += [(names[0], v) for v in names[1:]]
+                covers += [(v, names[-1]) for v in names[:-1]]
+                rng.shuffle(covers)
+            got = _built(lattice_from_covers, names, covers)
+            assert got == _built(_in_two_steps, names, covers)
+            outcomes.add(got[0] if isinstance(got, tuple) else "lattice")
+        assert outcomes == {
+            "lattice",
+            CycleDetectedError,
+            NotALatticeError,
+            NotBoundedError,
+            UnknownElementError,
+        }
 
 
 class TestVerifyLattice:
