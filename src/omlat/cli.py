@@ -112,11 +112,12 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     cfg = EnumerationConfig(args.max_size)
-    os.makedirs(args.out, exist_ok=True)
     if args.omod:
         structures, prefix, ext = enumerate_omls(cfg), "oml", "ortho"
     else:
         structures, prefix, ext = enumerate_bounded_lattices(cfg), "lattice", "lattice"
+    # only now: a refused size leaves no empty directory behind
+    os.makedirs(args.out, exist_ok=True)
     written: list[str] = []
     counters: dict[int, int] = {}
     for structure in structures:

@@ -213,6 +213,12 @@ class TestEnumerate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_refused_size_creates_no_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "d"
+        assert main(["enumerate", "--max-size", "10", "--out", str(out_dir)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_max_size_zero_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--max-size", "0", "--out", str(tmp_path / "x")])
