@@ -116,7 +116,7 @@ def _cmd_enumerate(args) -> int:
         structures, prefix, ext = enumerate_omls(cfg), "oml", "ortho"
     else:
         structures, prefix, ext = enumerate_bounded_lattices(cfg), "lattice", "lattice"
-    # only now: a refused size leaves no empty directory behind
+    # after enumeration, so that a refused size leaves no directory behind
     os.makedirs(args.out, exist_ok=True)
     written: list[str] = []
     counters: dict[int, int] = {}

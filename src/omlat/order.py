@@ -12,6 +12,7 @@ up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
 cover closure runs on masks, covers are the two-element intervals, and join
 and meet come from up-set (down-set) intersection: the upper bounds of x and
 y are up[x] & up[y], and x v y is the element whose up-set is exactly that.
+`lattice_from_covers` builds the tables from the closure's own masks.
 
 The one canonical form, `canonical_labeling`, refines the elements into an
 isomorphism-invariant partition and minimizes the relabeled order matrix over

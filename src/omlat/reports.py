@@ -5,8 +5,9 @@ Python expression that must hold for every tuple.  :func:`first_violation`
 scans the tuples in row-major order and returns the first failing one as a
 variable-to-element binding, which keeps witnesses deterministic and
 golden-testable.  Each law compiles once into nested loops in which every
-table row is looked up in the outermost loop that fixes it.  Every checker returns a :class:`VerificationReport` instead
-of raising on failure, so one run fully characterizes a structure.
+table row is looked up in the outermost loop that fixes it.  Every checker
+returns a :class:`VerificationReport` instead of raising on failure, so one
+run fully characterizes a structure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class Law:
     `vars` lists the scan variables, comma-separated, outermost first.
     `holds` is a Python expression over those variables and the table names
     leq, join, meet, bottom, top, comp, odot and imp.  It is a module
-    constant of the package, never built from input.
+    constant of the package, never built from input.  A generator inside it
+    binds a name of its own, never a scan variable.
     """
 
     id: str
@@ -41,7 +43,9 @@ class Law:
     note: str = ""
 
 
-# tables a law indexes; they are total, so any lookup in them is safe to make early
+# The tables a law indexes.  All are total: comp, odot and imp are checked on
+# construction and leq, join and meet come from lattice_from_poset, so a
+# lookup moved ahead of a short-circuit cannot raise.
 _TABLES = frozenset(("leq", "join", "meet", "comp", "odot", "imp"))
 
 
@@ -79,6 +83,7 @@ def _hoist(vs: list[str], holds: str) -> tuple[str, list[list[str]]]:
         return isinstance(node, ast.Name) and node.id in _TABLES
 
     def rewrite(node, limit: int):
+        """Replace each chain reading only loops above `limit` by a temporary."""
         if isinstance(node, ast.GeneratorExp):
             limit = len(vs) + 1
         if is_chain(node):
@@ -96,7 +101,11 @@ def _hoist(vs: list[str], holds: str) -> tuple[str, list[list[str]]]:
             if isinstance(value, ast.AST):
                 setattr(node, field, rewrite(value, limit))
             elif isinstance(value, list):
-                setattr(node, field, [rewrite(v, limit) if isinstance(v, ast.AST) else v for v in value])
+                setattr(
+                    node,
+                    field,
+                    [rewrite(v, limit) if isinstance(v, ast.AST) else v for v in value],
+                )
         return node
 
     tree = ast.parse(holds, mode="eval").body
