@@ -95,14 +95,17 @@ def iso_class_count(structures: list[tuple[int, ...]], n: int) -> int:
     return len(seen)
 
 
+def automorphisms(leq, n: int) -> list[tuple[int, ...]]:
+    """Every order automorphism, found by trying all n! relabelings."""
+    return [
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(leq[x][y] == leq[perm[x]][perm[y]] for x in range(n) for y in range(n))
+    ]
+
+
 def automorphism_count(leq, n: int) -> int:
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        if all(
-            leq[x][y] == leq[perm[x]][perm[y]] for x in range(n) for y in range(n)
-        ):
-            count += 1
-    return count
+    return len(automorphisms(leq, n))
 
 
 def orbit_sum(leq_matrices, n: int) -> int:

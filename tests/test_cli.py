@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import io
 import os
+import re
 import shutil
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omlat
 from conftest import DATA_DIR, make_o6
-from omlat import parse_structure, sasaki_groupoid, serialize_structure
+from omlat import OmlatError, parse_structure, sasaki_groupoid, serialize_structure
 from omlat.cli import main
 from omlat.residuated import LrGroupoid
 
@@ -294,6 +299,59 @@ class TestErrorPaths:
         assert main(["check", BOWTIE]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "least upper bound" in err
+
+
+DATA_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(DATA_DIR.iterdir())]
+FUZZ_AXIOMS = ("orthomodularity", "distributivity", "left-adjointness", "bogus")
+
+
+@st.composite
+def edited_data_files(draw) -> str:
+    """A data file with one drawn edit: a truncated line, a deleted line, or
+    two tokens swapped in place."""
+    lines = draw(st.sampled_from(DATA_TEXTS)).splitlines()
+    edit = draw(st.sampled_from(["truncate", "delete", "swap"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if edit == "truncate":
+        lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+    elif edit == "delete":
+        del lines[i]
+    else:
+        # odd positions of each split are the whitespace runs, kept as they are
+        parts = [re.split(r"(\s+)", line) for line in lines]
+        tokens = [(r, k) for r, p in enumerate(parts) for k in range(0, len(p), 2) if p[k]]
+        (r1, k1), (r2, k2) = draw(st.lists(st.sampled_from(tokens), min_size=2, max_size=2))
+        parts[r1][k1], parts[r2][k2] = parts[r2][k2], parts[r1][k1]
+        lines = ["".join(p) for p in parts]
+    return "\n".join(lines) + "\n"
+
+
+@given(text=edited_data_files(), axiom=st.sampled_from(FUZZ_AXIOMS))
+@settings(max_examples=200, deadline=None)
+def test_exit_codes_on_edited_data_files(tmp_path_factory, text, axiom):
+    """Every subcommand returns 0, 1 or 2 and raises nothing; 2 on unparsable text."""
+    try:
+        parse_structure(text)
+        rejected = False
+    except OmlatError:
+        rejected = True
+    path = tmp_path_factory.mktemp("fuzz") / "edited"
+    path.write_text(text, encoding="utf-8")
+    f = str(path)
+    commands = [["check", f, "--profile", p] for p in ("core", "thm1", "thm2", "thm3")]
+    commands += [
+        ["roundtrip", f],
+        ["witness", f, "--axiom", axiom],
+        ["dot", f],
+        ["build", "a-of-l", f],
+        ["build", "l-of-a", f],
+    ]
+    for argv in commands:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if rejected:
+            assert code == 2, argv
 
 
 def _imported_omlat_env() -> dict[str, str]:

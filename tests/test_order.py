@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_boolean, make_mo2, make_o6
+from conftest import make_boolean, make_mo2, make_o6, permute_candidate
 from omlat import (
     CycleDetectedError,
     DuplicateNameError,
@@ -18,11 +18,13 @@ from omlat import (
     FinitePoset,
     NotALatticeError,
     NotBoundedError,
+    OrthoCandidate,
     SizeLimitExceededError,
     TableNotTotalError,
     UnknownElementError,
     canonical_certificate,
     enumerate_bounded_lattices,
+    enumerate_orthocomplements,
     lattice_from_covers,
     lattice_from_poset,
     poset_from_covers,
@@ -319,6 +321,33 @@ class TestCanonicalCertificate:
             canonical_certificate(relabel_lattice(l, list(perm))).data
             == canonical_certificate(l).data
         )
+
+
+class TestCertificateWithUnaryTable:
+    """Certificates of a lattice with a unary table against brute force."""
+
+    @pytest.mark.parametrize("i", range(len(CORPUS)), ids=lambda i: f"n{CORPUS[i].n}_{i}")
+    def test_equal_exactly_when_an_automorphism_carries_the_tables(self, i):
+        l = CORPUS[i]
+        n = l.n
+        rng = random.Random(i)
+        autos = oracles.automorphisms(l.leq, n)
+        tables = enumerate_orthocomplements(l)
+        for _ in range(6):
+            t = tuple(rng.randrange(n) for _ in range(n))
+            # and its image under a drawn automorphism, which must certify alike
+            p = rng.choice(autos)
+            image = [0] * n
+            for x in range(n):
+                image[p[x]] = p[t[x]]
+            tables += [t, tuple(image)]
+        certs = [canonical_certificate(l, t).data for t in tables]
+        for (t, ct), (v, cv) in itertools.product(zip(tables, certs), repeat=2):
+            carried = any(all(v[p[x]] == p[t[x]] for x in range(n)) for p in autos)
+            assert (ct == cv) == carried
+        for t, ct in zip(tables, certs):
+            c = permute_candidate(OrthoCandidate(l, t), rng.sample(range(n), n))
+            assert canonical_certificate(c.lattice, c.comp).data == ct
 
 
 class TestRelabel:

@@ -35,6 +35,11 @@ EXPECTED_ORDER_DIGEST = (
     "72e5801d6d9e837ab3144bedfb896f6c5aa8f8d5a68065fdedc85d5f23f8b1de"
 )
 
+# the same digest over the 1,078 representatives of size 9, in output order
+EXPECTED_ORDER_DIGEST_AT_NINE = (
+    "a79b629d64f0718d17fa4f0da3262d58c7600355fa415218e62c7ed6dbf24a0a"
+)
+
 CORPUS9 = enumerate_bounded_lattices(EnumerationConfig(9))
 CORPUS8 = [l for l in CORPUS9 if l.n <= 8]
 
@@ -67,6 +72,16 @@ class TestEnumerateBoundedLattices:
         )
         digest = hashlib.sha256(rows.encode("ascii")).hexdigest()
         assert digest == EXPECTED_ORDER_DIGEST
+
+    def test_frozen_output_order_at_nine(self):
+        nine = [l for l in CORPUS9 if l.n == 9]
+        assert len(nine) == 1078
+        rows = "\n".join(
+            ";".join("".join("1" if v else "0" for v in row) for row in l.leq)
+            for l in nine
+        )
+        digest = hashlib.sha256(rows.encode("ascii")).hexdigest()
+        assert digest == EXPECTED_ORDER_DIGEST_AT_NINE
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_counts_match_labeled_oracle(self, n):
