@@ -261,10 +261,7 @@ def main(argv=None) -> int:
     except (NotOrthomodularError, HypothesisViolatedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OmlatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OmlatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

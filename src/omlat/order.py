@@ -15,9 +15,10 @@ y are up[x] & up[y], and x v y is the element whose up-set is exactly that.
 `lattice_from_covers` builds the tables from the closure's own masks.
 
 The one canonical form, `canonical_labeling`, refines the elements into an
-isomorphism-invariant partition and minimizes the relabeled order matrix over
-permutations within its cells.  Enumeration deduplicates with it and
-`canonical_certificate` serializes under it.
+isomorphism-invariant partition and returns as its key the least relabeled
+order (and unary table) over permutations within its cells.  Enumeration
+deduplicates with the key, and `canonical_certificate` is the key written out
+as text: the relabeled order, plus the unary table.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class BoundedLattice:
 
 @dataclass(frozen=True)
 class CanonicalCertificate:
-    """Serialization of a structure under its minimizing relabeling.
+    """The canonical key written out as text: the relabeled order, plus the
+    unary table when one is included.
 
     Certificates are equal iff the structures are isomorphic (as bounded
     lattices, or as lattices-with-unary-table when one is included).
@@ -333,15 +335,16 @@ def _refinement_cells(up, down) -> list[list[ElementId]]:
     return [cells[c] for c in sorted(cells)]
 
 
-def canonical_labeling(up, u=None) -> tuple[tuple, list[ElementId]]:
-    """Minimal relabeled order (and unary table) over cell-respecting relabelings.
+def canonical_labeling(up, u=None) -> tuple[tuple[int, ...], tuple[ElementId, ...]]:
+    """The canonical key: the least relabeled order and unary table.
 
     `up[x]` is the up-set bitmask of x in a finite poset.  The refinement
     partition is isomorphism-invariant and its cells are laid out in an
     invariant order, so only permutations within cells are tried and two
-    structures get equal keys iff they are isomorphic.  Returns the key and
-    the minimizing order, order[new] = old.  Raises SizeLimitExceededError
-    when the cells allow more than _MAX_RELABELINGS permutations.
+    structures get equal keys iff they are isomorphic.  The key is the least
+    (rows, table): bit j of rows[i] iff new element i <= new element j, and
+    table is the relabeled `u`, or () without one.  Raises
+    SizeLimitExceededError above _MAX_RELABELINGS permutations.
     """
     n = len(up)
     cells = _refinement_cells(up, down_sets(up))
@@ -352,7 +355,6 @@ def canonical_labeling(up, u=None) -> tuple[tuple, list[ElementId]]:
             f"the limit is {_MAX_RELABELINGS}"
         )
     best = None
-    best_order: list[ElementId] = []
     for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
         order = [x for part in parts for x in part]
         rows = []
@@ -369,35 +371,25 @@ def canonical_labeling(up, u=None) -> tuple[tuple, list[ElementId]]:
             pos = {old: new for new, old in enumerate(order)}
             key = (tuple(rows), tuple(pos[u[order[i]]] for i in range(n)))
         if best is None or key < best:
-            best, best_order = key, order
-    return best, best_order
+            best = key
+    return best
 
 
 def canonical_certificate(l: BoundedLattice, u=None) -> CanonicalCertificate:
-    """Serialize the structure under its canonical labeling.
+    """The canonical key written out as text: `n=N|leq=...`, plus `|comp=...`.
 
-    When a unary table `u` is given it participates in the minimization, so
-    the certificate distinguishes lattices-with-unary-op up to isomorphism.
-    Raises SizeLimitExceededError when the refinement cells allow more than
-    8! relabelings.
+    Character j of leq row i is bit j of key row i.  A unary table `u` takes
+    part in the minimization, so the certificate distinguishes
+    lattices-with-unary-op up to isomorphism.  Raises SizeLimitExceededError
+    when the refinement cells allow more than 8! relabelings.
     """
     n = l.n
     if u is not None:
         u = check_unary_table(n, u)
-    _, order = canonical_labeling(up_sets(l.leq), u)
-    pos_list = [0] * n
-    for new, old in enumerate(order):
-        pos_list[old] = new
-    canon = relabel_lattice(l, pos_list)
-    parts = [f"n={n}"]
-    parts.append(
-        "leq=" + ";".join("".join("1" if v else "0" for v in row) for row in canon.leq)
+    rows, table = canonical_labeling(up_sets(l.leq), u)
+    text = f"n={n}|leq=" + ";".join(
+        "".join("1" if (row >> j) & 1 else "0" for j in range(n)) for row in rows
     )
-    parts.append("join=" + ";".join(",".join(map(str, row)) for row in canon.join))
-    parts.append("meet=" + ";".join(",".join(map(str, row)) for row in canon.meet))
     if u is not None:
-        cu = [0] * n
-        for old in range(n):
-            cu[pos_list[old]] = pos_list[u[old]]
-        parts.append("comp=" + ",".join(map(str, cu)))
-    return CanonicalCertificate("|".join(parts).encode("ascii"))
+        text += "|comp=" + ",".join(map(str, table))
+    return CanonicalCertificate(text.encode("ascii"))

@@ -6,7 +6,7 @@ its top is exactly a meet-semilattice on n-1 elements, and adjoining a fresh
 maximal element with a chosen down-set extends one semilattice to the next
 size.  Candidate extensions are deduplicated with the key of
 `order.canonical_labeling`, so each class is kept exactly once, and each size
-is output sorted by `canonical_certificate`, which uses the same labeling.
+is output sorted by `canonical_certificate`, that key written out as text.
 Orthocomplement search backtracks over involutions that pair each element
 with one of its lattice complements, pruning by antitony as pairs are fixed.
 """
@@ -90,21 +90,16 @@ def enumerate_orthocomplements(
                 found.append(table)
             return
         for y in candidates[x]:
-            if y in comp or (y == x and n > 1):
+            if y in comp:
                 continue
             comp[x] = y
             comp[y] = x
             if antitone_with_assigned(x) and antitone_with_assigned(y):
                 extend()
-            del comp[x]
-            if y != x:
-                del comp[y]
+            del comp[x], comp[y]
 
     comp[bottom] = top
     comp[top] = bottom
-    if n == 1:
-        comp.clear()
-        comp[bottom] = bottom
     extend()
     return sorted(found)
 
@@ -180,7 +175,7 @@ def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
         nxt: dict[tuple, tuple[int, ...]] = {}
         for up in level:
             for ext in _semilattice_extensions(up, k):
-                key, _ = canonical_labeling(ext)
+                key = canonical_labeling(ext)
                 if key not in nxt:
                     nxt[key] = ext
         level = list(nxt.values())
