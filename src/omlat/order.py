@@ -14,11 +14,11 @@ and meet come from up-set (down-set) intersection: the upper bounds of x and
 y are up[x] & up[y], and x v y is the element whose up-set is exactly that.
 `lattice_from_covers` builds the tables from the closure's own masks.
 
-The one canonical form, `canonical_labeling`, refines the elements into an
-isomorphism-invariant partition and returns as its key the least relabeled
-order (and unary table) over permutations within its cells.  Enumeration
-deduplicates with the key, and `canonical_certificate` is the key written out
-as text: the relabeled order, plus the unary table.
+The one canonical form is `canonical_certificate`.  It refines the elements of
+a poset or lattice into an isomorphism-invariant partition, takes the least
+relabeled order (and unary table) over the permutations within its cells, and
+writes it out as text.  Enumeration certifies each candidate once and uses the
+certificate both to deduplicate and to sort its output.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .reports import Law, VerificationReport, check_laws
 
 ElementId = int
 
-# Canonical labeling tries every permutation within the refinement cells; it
+# The certificate tries every permutation within the refinement cells; it
 # refuses structures whose cells allow more than 8! of them.
 _MAX_RELABELINGS = factorial(8)
 
@@ -96,11 +96,11 @@ class BoundedLattice:
 
 @dataclass(frozen=True)
 class CanonicalCertificate:
-    """The canonical key written out as text: the relabeled order, plus the
-    unary table when one is included.
+    """The canonical form written out as text: the least relabeled order, plus
+    the unary table when one is included.
 
-    Certificates are equal iff the structures are isomorphic (as bounded
-    lattices, or as lattices-with-unary-table when one is included).
+    Certificates are equal iff the structures are isomorphic (as posets, as
+    bounded lattices, or with a unary table when one is included).
     """
 
     data: bytes
@@ -273,8 +273,13 @@ def verify_lattice(l: BoundedLattice) -> VerificationReport:
 
 
 def relabel_lattice(l: BoundedLattice, perm) -> BoundedLattice:
-    """Relabel elements by the bijection perm, where perm[old] = new index."""
+    """Relabel elements by the bijection perm, where perm[old] = new index.
+
+    Raises ValueError unless perm is a permutation of range(l.n).
+    """
     n = l.n
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"relabeling must be a permutation of 0..{n - 1}, got {perm!r}")
     inv = [0] * n
     for old, new in enumerate(perm):
         inv[new] = old
@@ -299,7 +304,7 @@ def up_sets(leq) -> list[int]:
 def order_matrix(up) -> tuple[tuple[bool, ...], ...]:
     """Order matrix from up-set bitmasks: leq[x][y] iff bit y of up[x]."""
     n = len(up)
-    return tuple(tuple(bool((u >> y) & 1) for y in range(n)) for u in up)
+    return tuple(tuple([(u >> y) & 1 == 1 for y in range(n)]) for u in up)
 
 
 def down_sets(up) -> list[int]:
@@ -335,18 +340,23 @@ def _refinement_cells(up, down) -> list[list[ElementId]]:
     return [cells[c] for c in sorted(cells)]
 
 
-def canonical_labeling(up, u=None) -> tuple[tuple[int, ...], tuple[ElementId, ...]]:
-    """The canonical key: the least relabeled order and unary table.
+def canonical_certificate(s, u=None) -> CanonicalCertificate:
+    """The canonical form written out as text: `n=N|leq=...`, plus `|comp=...`.
 
-    `up[x]` is the up-set bitmask of x in a finite poset.  The refinement
-    partition is isomorphism-invariant and its cells are laid out in an
-    invariant order, so only permutations within cells are tried and two
-    structures get equal keys iff they are isomorphic.  The key is the least
-    (rows, table): bit j of rows[i] iff new element i <= new element j, and
-    table is the relabeled `u`, or () without one.  Raises
-    SizeLimitExceededError above _MAX_RELABELINGS permutations.
+    `s` is a `FinitePoset` or a `BoundedLattice`; only `s.n` and `s.leq` are
+    read, since in a lattice the order already fixes join and meet.  The
+    refinement partition is isomorphism-invariant and its cells are laid out
+    in an invariant order, so only permutations within cells are tried.  The
+    least (rows, table) over them is written out: character j of leq row i is
+    1 iff new element i <= new element j, and a unary table `u` takes part in
+    the minimization as the relabeled `u`.  Certificates are therefore equal
+    iff the structures are isomorphic.  Raises SizeLimitExceededError when
+    the refinement cells allow more than 8! relabelings.
     """
-    n = len(up)
+    n = s.n
+    if u is not None:
+        u = check_unary_table(n, u)
+    up = up_sets(s.leq)
     cells = _refinement_cells(up, down_sets(up))
     relabelings = prod(factorial(len(c)) for c in cells)
     if relabelings > _MAX_RELABELINGS:
@@ -372,24 +382,9 @@ def canonical_labeling(up, u=None) -> tuple[tuple[int, ...], tuple[ElementId, ..
             key = (tuple(rows), tuple(pos[u[order[i]]] for i in range(n)))
         if best is None or key < best:
             best = key
-    return best
-
-
-def canonical_certificate(l: BoundedLattice, u=None) -> CanonicalCertificate:
-    """The canonical key written out as text: `n=N|leq=...`, plus `|comp=...`.
-
-    Character j of leq row i is bit j of key row i.  A unary table `u` takes
-    part in the minimization, so the certificate distinguishes
-    lattices-with-unary-op up to isomorphism.  Raises SizeLimitExceededError
-    when the refinement cells allow more than 8! relabelings.
-    """
-    n = l.n
-    if u is not None:
-        u = check_unary_table(n, u)
-    rows, table = canonical_labeling(up_sets(l.leq), u)
-    text = f"n={n}|leq=" + ";".join(
-        "".join("1" if (row >> j) & 1 else "0" for j in range(n)) for row in rows
-    )
+    rows, table = best
+    # binary digits least significant first: character j is bit j of the row
+    text = f"n={n}|leq=" + ";".join(format(row, f"0{n}b")[::-1] for row in rows)
     if u is not None:
         text += "|comp=" + ",".join(map(str, table))
     return CanonicalCertificate(text.encode("ascii"))

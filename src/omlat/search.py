@@ -4,9 +4,9 @@ Lattices are generated one isomorphism class at a time by growing
 meet-semilattices element by element: a bounded lattice on n elements minus
 its top is exactly a meet-semilattice on n-1 elements, and adjoining a fresh
 maximal element with a chosen down-set extends one semilattice to the next
-size.  Candidate extensions are deduplicated with the key of
-`order.canonical_labeling`, so each class is kept exactly once, and each size
-is output sorted by `canonical_certificate`, that key written out as text.
+size.  Each candidate is certified once: its `canonical_certificate` is the
+dedup key, so each class is kept exactly once (its first candidate), and the
+same bytes sort each size of the output.
 Orthocomplement search backtracks over involutions that pair each element
 with one of its lattice complements, pruning by antitony as pairs are fixed.
 """
@@ -21,7 +21,6 @@ from .order import (
     FinitePoset,
     _lattice_from_up,
     canonical_certificate,
-    canonical_labeling,
     down_sets,
     order_matrix,
 )
@@ -104,49 +103,40 @@ def enumerate_orthocomplements(
     return sorted(found)
 
 
-def _semilattice_extensions(up: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+def _adjoin(up: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """Up-set rows of `up` with a new maximal element above the ones in `mask`."""
+    new = 1 << len(up)
+    return (*(u | new if (mask >> x) & 1 else u for x, u in enumerate(up)), new)
+
+
+def _with_top(up: tuple[int, ...]) -> tuple[int, ...]:
+    return _adjoin(up, (1 << len(up)) - 1)
+
+
+def _semilattice_extensions(up: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All one-element extensions by a new maximal element.
 
-    The new element's strict down-set D must be down-closed and, for every
-    x outside D, D intersected with the down-set of x must have a unique
-    maximum (that maximum becomes the meet of the new element with x).
+    The new element's strict down-set D is kept iff D meets every principal
+    down-set in a principal down-set.  For x in D that says D is down-closed
+    at x; for x outside D it says D and the down-set of x have a maximum,
+    which becomes the meet of the new element with x.  D = {} passes only on
+    the empty semilattice.
     """
     down = down_sets(up)
-    out = []
-    for mask in range(1, 1 << n):
-        ok = True
-        for d in range(n):
-            if (mask >> d) & 1 and down[d] & mask != down[d]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for x in range(n):
-            if (mask >> x) & 1:
-                continue
-            s = mask & down[x]
-            has_max = False
-            probe = s
-            while probe:
-                m = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                if s & down[m] == s:
-                    has_max = True
-                    break
-            if not has_max:
-                ok = False
-                break
-        if not ok:
-            continue
-        new_up = [up[x] | (1 << n) if (mask >> x) & 1 else up[x] for x in range(n)]
-        new_up.append(1 << n)
-        out.append(tuple(new_up))
-    return out
+    principal = set(down)
+    return [
+        _adjoin(up, mask)
+        for mask in range(1 << len(up))
+        if all(mask & d in principal for d in down)
+    ]
 
 
-def _lattice_from_order_rows(up, n: int) -> BoundedLattice:
-    names = tuple(f"e{i}" for i in range(n))
-    return _lattice_from_up(FinitePoset(names, order_matrix(up)), up, down_sets(up))
+def _poset_from_order_rows(up) -> FinitePoset:
+    return FinitePoset(tuple(f"e{i}" for i in range(len(up))), order_matrix(up))
+
+
+def _lattice_from_order_rows(up) -> BoundedLattice:
+    return _lattice_from_up(_poset_from_order_rows(up), up, down_sets(up))
 
 
 def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
@@ -159,31 +149,20 @@ def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
             f"enumeration is supported up to size {MAX_ENUMERATION_SIZE}, "
             f"got {cfg.max_size}"
         )
-    lattices_by_size: dict[int, list[BoundedLattice]] = {
-        1: [_lattice_from_order_rows((1,), 1)]
-    }
-    # meet-semilattices with k elements stand for lattices with k+1: adjoin a top
-    level: list[tuple[int, ...]] = [(1,)]
-    for k in range(1, cfg.max_size):
-        lattices_by_size[k + 1] = []
-        for up in level:
-            rows = [u | (1 << k) for u in up]
-            rows.append(1 << k)
-            lattices_by_size[k + 1].append(_lattice_from_order_rows(rows, k + 1))
-        if k + 1 >= cfg.max_size:
-            break
-        nxt: dict[tuple, tuple[int, ...]] = {}
-        for up in level:
-            for ext in _semilattice_extensions(up, k):
-                key = canonical_labeling(ext)
-                if key not in nxt:
-                    nxt[key] = ext
-        level = list(nxt.values())
     results: list[BoundedLattice] = []
-    for n in sorted(lattices_by_size):
-        with_certs = [(canonical_certificate(l).data, l) for l in lattices_by_size[n]]
-        with_certs.sort(key=lambda pair: pair[0])
-        results.extend(l for _, l in with_certs)
+    # meet-semilattices with k elements stand for lattices with k+1: adjoin a
+    # top; the empty one stands for the one-element lattice.  Candidates are
+    # generated lazily, so none are built beyond max_size.
+    candidates = [()]
+    for _ in range(cfg.max_size):
+        level: dict[bytes, tuple[int, ...]] = {}
+        for up in candidates:
+            cert = canonical_certificate(_poset_from_order_rows(_with_top(up))).data
+            level.setdefault(cert, up)
+        results.extend(
+            _lattice_from_order_rows(_with_top(level[c])) for c in sorted(level)
+        )
+        candidates = (ext for up in level.values() for ext in _semilattice_extensions(up))
     return results
 
 

@@ -1,8 +1,12 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the package
+defines nothing it never reads.
 
-A plain AST scan, no linter needed.  A name counts as used when it is read
-anywhere in the module, including annotations and `__all__`.  The package
-`__init__` is skipped, because its imports are the public re-exports.
+Plain AST scans, no linter needed.  An import counts as used when the name is
+read anywhere in the module, including annotations and `__all__`; the package
+`__init__` is skipped, because its imports are the public re-exports.  A
+top-level definition in `src/omlat` counts as used when `omlat.__all__`
+exports it or when some module of the package reads it as a name, an
+attribute or an import.
 """
 
 from __future__ import annotations
@@ -12,12 +16,15 @@ from pathlib import Path
 
 import pytest
 
+import omlat
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p
     for p in [*(ROOT / "src" / "omlat").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src" / "omlat").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,3 +56,50 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(sources: dict[str, str], exported) -> list[str]:
+    """Top-level functions, classes and assignments that no source reads."""
+    defined: list[tuple[str, int, str]] = []
+    read: set[str] = set(exported)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(
+                    (module, node.lineno, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(
+        f"{module} line {line}: {name}"
+        for module, line, name in defined
+        if name not in read and not name.startswith("__")
+    )
+
+
+def test_scan_finds_a_dead_definition():
+    sources = {
+        "a": "def f(): pass\ndef g(): pass\nclass C: pass\nX, Y = 1, 2\nZ: int = 3\n",
+        "b": "from a import g\nimport a\nprint(a.C, X)\n__all__ = []\n",
+    }
+    assert dead_definitions(sources, {"f"}) == [
+        "a line 4: Y",
+        "a line 5: Z",
+    ]
+
+
+def test_no_dead_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert dead_definitions(sources, omlat.__all__) == []

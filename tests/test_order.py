@@ -323,6 +323,29 @@ class TestCanonicalCertificate:
         )
 
 
+class TestCertificateOfPosets:
+    """Certificates of posets that need not be lattices, against brute force."""
+
+    def test_equal_exactly_when_the_minimal_relabeled_keys_are(self):
+        counts = []
+        for n in range(6):
+            perms = list(itertools.permutations(range(n)))
+            names = tuple(f"p{i}" for i in range(n))
+            pairs = set()
+            for down in oracles.labeled_posets(n):
+                leq = tuple(map(tuple, oracles.poset_leq_matrix(down)))
+                key = min(oracles._relabeled_key(down, p) for p in perms)
+                pairs.add((canonical_certificate(FinitePoset(names, leq)).data, key))
+            certs = {c for c, _ in pairs}
+            assert len(certs) == len({k for _, k in pairs}) == len(pairs)
+            counts.append(len(certs))
+        assert counts == [1, 1, 2, 5, 16, 63]  # OEIS A000112
+
+    @pytest.mark.parametrize("l", CORPUS, ids=lambda l: f"n{l.n}")
+    def test_lattice_and_its_poset_certify_alike(self, l):
+        assert canonical_certificate(l.poset) == canonical_certificate(l)
+
+
 class TestCertificateWithUnaryTable:
     """Certificates of a lattice with a unary table against brute force."""
 
@@ -363,6 +386,14 @@ class TestRelabel:
         l = make_boolean(3).lattice
         perm = [7, 0, 3, 1, 6, 2, 5, 4]
         assert verify_lattice(relabel_lattice(l, perm)).overall
+
+    @pytest.mark.parametrize(
+        "perm", [[0, 0, 1, 2], [3, 2, 1, -1], [0, 1, 2], [0, 1, 2, 3, 4], [1, 2, 3, 4]]
+    )
+    def test_rejects_a_non_permutation(self, perm):
+        l = make_boolean(2).lattice
+        with pytest.raises(ValueError, match="permutation"):
+            relabel_lattice(l, perm)
 
 
 @given(st.data())
