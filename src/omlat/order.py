@@ -6,6 +6,17 @@ precomputed n x n tables so every law in the package is a plain table scan.
 The lattice laws are the `Law` rows of LATTICE_LAWS, which `verify_lattice`
 checks in order.  Structures are frozen after construction and safe to share.
 
+Structures over one lattice share their table rows.  `BoundedLattice.shared_row`
+stores one copy of each distinct row that a complementation (`OrthoCandidate`)
+or a product or residual table (`LrGroupoid`) over the lattice holds: a new
+row is validated once by `check_unary_table`, the one row validator (n int
+entries in 0..n-1), and a row seen before is handed back as its stored copy
+after a check of its entry types alone.  So the Sasaki groupoids of every
+complementation of one lattice hold one copy of each distinct row.  The
+stored rows live as long as the lattice: a caller that builds many throwaway
+groupoids over one lattice keeps their distinct rows, at most n^n of them.
+The bool `leq` rows are never stored, since (True, False) == (1, 0).
+
 Order computations work on bitmasks: `up_sets` turns the order matrix into
 up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
 `order_matrix` turns masks back into the matrix that the law rows read.  The
@@ -25,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 
 from .errors import (
@@ -93,6 +105,28 @@ class BoundedLattice:
     def index(self, name: str) -> ElementId:
         return self.poset.index(name)
 
+    def shared_row(self, row) -> tuple[ElementId, ...]:
+        """The one stored copy of a table row over this lattice.
+
+        A new row is checked by `check_unary_table` (n int entries in
+        0..n-1) and stored; a row seen before is checked only for its entry
+        types and returned as its stored copy.  Rows live as long as the
+        lattice.
+        """
+        row = tuple(row)
+        # a bool or float entry equals an int and hashes alike, so a row
+        # holding one must not find the int row's copy
+        shared = self._rows.get(row) if _all_ints(row) else None
+        if shared is None:
+            shared = self._rows[row] = check_unary_table(self.n, row)
+        return shared
+
+    @cached_property
+    def _rows(self) -> dict[tuple[ElementId, ...], tuple[ElementId, ...]]:
+        # Not a field: equality, hash, repr and dataclasses.replace never see
+        # it, and it is created when the first table row is stored.
+        return {}
+
 
 @dataclass(frozen=True)
 class CanonicalCertificate:
@@ -106,10 +140,19 @@ class CanonicalCertificate:
     data: bytes
 
 
+def _all_ints(row) -> bool:
+    """True iff every entry is an int; bool and float entries are not."""
+    return {int}.issuperset(map(type, row))
+
+
 def check_unary_table(n: int, u) -> tuple[ElementId, ...]:
+    """`u` as a tuple of n int entries in 0..n-1, the one check of a table row.
+
+    Raises TableNotTotalError otherwise; bool and float entries are refused.
+    """
     u = tuple(u)
-    if len(u) != n or any(not (0 <= v < n) for v in u):
-        raise TableNotTotalError("unary table must be total on the carrier")
+    if len(u) != n or not _all_ints(u) or (u and not 0 <= min(u) <= max(u) < n):
+        raise TableNotTotalError(f"table row must hold {n} int entries in 0..{n - 1}")
     return u
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .order import BoundedLattice, ElementId, check_unary_table
+from .order import BoundedLattice, ElementId
 from .reports import AxiomResult, Law, VerificationReport, Witness, check_laws, first_violation
 
 # total map ElementId -> ElementId, as a dense tuple
@@ -23,13 +23,16 @@ UnaryTable = tuple[ElementId, ...]
 
 @dataclass(frozen=True)
 class OrthoCandidate:
-    """Bounded lattice with a candidate complementation (checked, not assumed)."""
+    """Bounded lattice with a candidate complementation (checked, not assumed).
+
+    `comp` is stored as the lattice's shared copy of that row.
+    """
 
     lattice: BoundedLattice
     comp: UnaryTable
 
     def __post_init__(self):
-        object.__setattr__(self, "comp", check_unary_table(self.lattice.n, self.comp))
+        object.__setattr__(self, "comp", self.lattice.shared_row(self.comp))
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -23,27 +23,25 @@ from .reports import Law, VerificationReport, check_laws
 BinOpTable = tuple[tuple[ElementId, ...], ...]
 
 
-def check_binop_table(n: int, table) -> BinOpTable:
-    table = tuple(tuple(row) for row in table)
-    if len(table) != n or any(
-        len(row) != n or min(row) < 0 or max(row) >= n for row in table
-    ):
-        raise TableNotTotalError("binary table must be total on the carrier")
-    return table
-
-
 @dataclass(frozen=True)
 class LrGroupoid:
-    """Bounded lattice with product and residual tables (checked, not assumed)."""
+    """Bounded lattice with product and residual tables (checked, not assumed).
+
+    Each row is the lattice's shared copy, so groupoids over one lattice
+    store each distinct row once.
+    """
 
     lattice: BoundedLattice
     odot: BinOpTable
     imp: BinOpTable
 
     def __post_init__(self):
-        n = self.lattice.n
-        object.__setattr__(self, "odot", check_binop_table(n, self.odot))
-        object.__setattr__(self, "imp", check_binop_table(n, self.imp))
+        l = self.lattice
+        for name in ("odot", "imp"):
+            rows = tuple(getattr(self, name))
+            if len(rows) != l.n:
+                raise TableNotTotalError(f"{name} table must have {l.n} rows")
+            object.__setattr__(self, name, tuple(map(l.shared_row, rows)))
 
     @property
     def names(self) -> tuple[str, ...]:

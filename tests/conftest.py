@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from omlat import (
+    BoundedLattice,
     EnumerationConfig,
     OrthoCandidate,
     enumerate_bounded_lattices,
@@ -41,6 +42,14 @@ def make_mo2() -> OrthoCandidate:
 def make_o6() -> OrthoCandidate:
     l = lattice_from_covers(O6_NAMES, O6_COVERS)
     return OrthoCandidate(l, tuple(l.index(t) for t in O6_COMP))
+
+
+def make_mo(k: int) -> BoundedLattice:
+    """MOk as a bare lattice: 0, 2k atoms a0..a(2k-1), and 1."""
+    atoms = [f"a{i}" for i in range(2 * k)]
+    return lattice_from_covers(
+        ["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    )
 
 
 def make_boolean(k: int) -> OrthoCandidate:

@@ -354,6 +354,52 @@ def test_exit_codes_on_edited_data_files(tmp_path_factory, text, axiom):
             assert code == 2, argv
 
 
+FUZZ_SUBCOMMANDS = ("check", "roundtrip", "witness", "dot", "a-of-l", "l-of-a", "enumerate")
+
+
+@pytest.mark.parametrize("subcommand", FUZZ_SUBCOMMANDS)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_subprocess_exit_codes_on_edited_data_files(tmp_path_factory, subcommand, data):
+    """`python -m omlat` exits 0, 1 or 2 and prints no traceback; 2 on
+    unparsable text.  `enumerate` reads no file, so its size is a token of
+    the edited text."""
+    text = data.draw(edited_data_files())
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "edited"
+    path.write_text(text, encoding="utf-8")
+    f = str(path)
+    if subcommand == "enumerate":
+        size = data.draw(st.sampled_from(text.split() or [""]))
+        argv = ["enumerate", "--max-size", size, "--out", str(work / "out")]
+        argv += data.draw(st.sampled_from([[], ["--omod"]]))
+    elif subcommand == "check":
+        argv = ["check", f, "--profile", data.draw(st.sampled_from(["core", "thm1", "thm2", "thm3"]))]
+    elif subcommand == "witness":
+        argv = ["witness", f, "--axiom", data.draw(st.sampled_from(FUZZ_AXIOMS))]
+    elif subcommand in ("a-of-l", "l-of-a"):
+        argv = ["build", subcommand, f]
+    else:
+        argv = [subcommand, f]
+    proc = subprocess.run(
+        [sys.executable, "-m", "omlat", *argv],
+        capture_output=True,
+        text=True,
+        env=_imported_omlat_env(),
+        timeout=60,
+    )
+    assert proc.returncode in (0, 1, 2), argv
+    assert "Traceback" not in proc.stderr, argv
+    if subcommand == "enumerate":
+        if not size.isdecimal():
+            assert proc.returncode == 2, argv
+    else:
+        try:
+            parse_structure(text)
+        except OmlatError:
+            assert proc.returncode == 2, argv
+
+
 def _imported_omlat_env() -> dict[str, str]:
     """Environment whose PYTHONPATH puts the omlat this suite imported first,
     so a subprocess runs the same package and never a stale installed one."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_boolean, make_mo2, make_o6, permute_candidate
+from conftest import MO2_COVERS, MO2_NAMES, make_boolean, make_mo2, make_o6, permute_candidate
 from omlat import (
     EnumerationConfig,
     OrthoCandidate,
@@ -37,6 +37,41 @@ def test_candidate_requires_total_table():
         OrthoCandidate(l, (0, 1, 2))
     with pytest.raises(TableNotTotalError):
         OrthoCandidate(l, (0, 1, 2, 3, 4, 9))
+
+
+# MO2's complementation is (5, 2, 1, 4, 3, 0); each flaw below replaces it,
+# and the float and bool tables equal it and hash like it
+FLAWED_COMPS = {
+    "short row": (5, 2, 1, 4, 3),
+    "long row": (5, 2, 1, 4, 3, 0, 0),
+    "out of range": (5, 2, 1, 4, 3, 6),
+    "negative": (5, 2, 1, 4, 3, -1),
+    "float entry": (5.0, 2, 1, 4, 3, 0),
+    "bool entry": (5, 2, True, 4, 3, False),
+    "rows instead of entries": ((5, 2, 1, 4, 3, 0),),
+}
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
+@pytest.mark.parametrize("flaw", FLAWED_COMPS)
+def test_flawed_comp_rejected(flaw, pooled):
+    """Rejected on a fresh lattice and on one that already stores the valid
+    complementation, the int twin of the float and bool tables."""
+    if pooled:
+        c = make_mo2()
+        l = c.lattice
+        assert l.shared_row((5, 2, 1, 4, 3, 0)) is c.comp
+    else:
+        l = lattice_from_covers(MO2_NAMES, MO2_COVERS)
+    with pytest.raises(TableNotTotalError):
+        OrthoCandidate(l, FLAWED_COMPS[flaw])
+
+
+def test_float_comp_is_not_stored():
+    l = lattice_from_covers(MO2_NAMES, MO2_COVERS)
+    with pytest.raises(TableNotTotalError):
+        OrthoCandidate(l, FLAWED_COMPS["float entry"])
+    assert [type(v) for v in OrthoCandidate(l, (5, 2, 1, 4, 3, 0)).comp] == [int] * 6
 
 
 class TestVerifyOrtholattice:
