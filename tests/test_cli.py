@@ -374,7 +374,8 @@ def test_subprocess_exit_codes_on_edited_data_files(tmp_path_factory, subcommand
         argv = ["enumerate", "--max-size", size, "--out", str(work / "out")]
         argv += data.draw(st.sampled_from([[], ["--omod"]]))
     elif subcommand == "check":
-        argv = ["check", f, "--profile", data.draw(st.sampled_from(["core", "thm1", "thm2", "thm3"]))]
+        profile = data.draw(st.sampled_from(["core", "thm1", "thm2", "thm3"]))
+        argv = ["check", f, "--profile", profile]
     elif subcommand == "witness":
         argv = ["witness", f, "--axiom", data.draw(st.sampled_from(FUZZ_AXIOMS))]
     elif subcommand in ("a-of-l", "l-of-a"):
