@@ -11,10 +11,11 @@ stores one copy of each distinct row that a complementation (`OrthoCandidate`)
 or a product or residual table (`LrGroupoid`) over the lattice holds: a new
 row is validated once by `check_unary_table`, the one row validator (n int
 entries in 0..n-1), and a row seen before is handed back as its stored copy
-after a check of its entry types alone.  So the Sasaki groupoids of every
-complementation of one lattice hold one copy of each distinct row.  The
-stored rows live as long as the lattice: a caller that builds many throwaway
-groupoids over one lattice keeps their distinct rows, at most n^n of them.
+once its entries are known to be ints (identical to the stored ones, or else
+ints by type).  So the Sasaki groupoids of every complementation of one
+lattice hold one copy of each distinct row.  The stored rows live as long as
+the lattice: a caller that builds many throwaway groupoids over one lattice
+keeps their distinct rows, at most n^n of them.
 The bool `leq` rows are never stored, since (True, False) == (1, 0).
 
 Order computations work on bitmasks: `up_sets` turns the order matrix into
@@ -38,6 +39,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
+from operator import is_
 
 from .errors import (
     CycleDetectedError,
@@ -109,15 +111,20 @@ class BoundedLattice:
         """The one stored copy of a table row over this lattice.
 
         A new row is checked by `check_unary_table` (n int entries in
-        0..n-1) and stored; a row seen before is checked only for its entry
-        types and returned as its stored copy.  Rows live as long as the
+        0..n-1) and stored; a row seen before is returned as its stored copy
+        once its entries are known to be ints.  Rows live as long as the
         lattice.
         """
         row = tuple(row)
-        # a bool or float entry equals an int and hashes alike, so a row
-        # holding one must not find the int row's copy
-        shared = self._rows.get(row) if _all_ints(row) else None
-        if shared is None:
+        try:
+            shared = self._rows.get(row)
+        except TypeError:  # an unhashable entry, refused below
+            shared = None
+        # A bool or float entry equals an int and hashes alike, so a found
+        # row is taken only if its entries are the stored ints themselves
+        # (the usual case: small ints are cached objects) or, failing that,
+        # ints by type.
+        if shared is None or not (all(map(is_, row, shared)) or _all_ints(row)):
             shared = self._rows[row] = check_unary_table(self.n, row)
         return shared
 

@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import random
 
+from conftest import make_boolean, make_mo
 from omlat import (
     ALL_AXIOMS,
     CORE_AXIOMS,
@@ -38,7 +39,7 @@ from omlat import (
 )
 from omlat.order import LATTICE_LAWS, BoundedLattice, FinitePoset
 from omlat.ortho import ORTHO_LAWS
-from omlat.reports import bind, first_violation
+from omlat.reports import _scanner, bind, first_violation
 from omlat.residuated import GROUPOID_LAWS
 
 PINNED_REPORTS = (
@@ -174,3 +175,89 @@ def test_compiled_scans_match_naive_evaluation():
             witnesses += hit is not None
     # both outcomes are exercised
     assert 0 < witnesses < NAIVE_TRIALS * len(laws)
+
+
+FILTERED_LAWS = {"associativity", "distributivity", "left-adjointness"}
+MUTATIONS_PER_TABLE = 10
+
+
+def _passing_structures():
+    """Orthomodular candidates of sizes 1, 2, 8 and 12 whose Sasaki groupoid
+    passes every groupoid law, so the row filter sees mostly equal rows."""
+    yield from (make_boolean(k) for k in (0, 1, 3))
+    for k in (3, 5):
+        l = make_mo(k)
+        yield OrthoCandidate(l, next(iter(enumerate_orthocomplements(l))))
+
+
+def _scan_tables(c: OrthoCandidate, g: LrGroupoid) -> dict:
+    l = c.lattice
+    return {
+        "leq": l.leq, "join": l.join, "meet": l.meet, "bottom": l.bottom,
+        "top": l.top, "comp": c.comp, "odot": g.odot, "imp": g.imp,
+    }
+
+
+def _with_cell(table, x: int, y: int, value: int):
+    rows = [list(row) for row in table]
+    rows[x][y] = value
+    return tuple(map(tuple, rows))
+
+
+def _assert_scans_match(tables: dict, names: tuple[str, ...]) -> int:
+    """Compare every law's compiled scan with naive evaluation; count the
+    filtered laws whose first failing tuple has x past the first element."""
+    n = len(names)
+    lattice = BoundedLattice(
+        FinitePoset(names, tables["leq"]),
+        tables["join"],
+        tables["meet"],
+        tables["bottom"],
+        tables["top"],
+    )
+    ops = {k: tables[k] for k in ("comp", "odot", "imp")}
+    hits = 0
+    for law in LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS:
+        hit = _naive_first_violation(law, tables, n)
+        want = None if hit is None else bind(law.vars, names, hit)
+        assert first_violation(law, lattice, **ops) == want, law.id
+        hits += law.id in FILTERED_LAWS and hit is not None and hit[0] > 0
+    return hits
+
+
+def test_compiled_scans_match_naive_evaluation_on_passing_structures():
+    """Structures that pass take the equal-rows path of the row filter; one
+    changed odot, imp, join or meet cell makes a late row differ, and the
+    exact innermost loop must then find the same first failing tuple."""
+    rng = random.Random(20261019)
+    sizes, late_hits = [], 0
+    for c in _passing_structures():
+        g, names, n = sasaki_groupoid(c), c.names, c.lattice.n
+        tables = _scan_tables(c, g)
+        sizes.append(n)
+        assert verify_lattice(c.lattice).overall and verify_lrg(g).overall
+        _assert_scans_match(tables, names)
+        if n == 1:
+            continue
+        for key in ("odot", "imp", "join", "meet"):
+            cells = [(n - 1, n - 1)] + [
+                (rng.randrange(n), rng.randrange(n)) for _ in range(MUTATIONS_PER_TABLE)
+            ]
+            for x, y in cells:
+                value = _other_value(rng, n, tables[key][x][y])
+                late_hits += _assert_scans_match(
+                    tables | {key: _with_cell(tables[key], x, y, value)}, names
+                )
+    assert sizes == [1, 2, 8, 8, 12]
+    assert late_hits
+
+
+def test_row_filter_covers_three_variable_equalities_only():
+    """Left adjointness, associativity and distributivity compare whole rows
+    before their innermost loop; no law with one or two variables does."""
+    laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
+    filtered = {
+        law.id for law in laws if "continue" in _scanner(law.vars, law.holds).source
+    }
+    assert filtered == FILTERED_LAWS
+    assert all(law.vars.count(",") == 2 for law in laws if law.id in filtered)

@@ -49,6 +49,7 @@ FLAWED_COMPS = {
     "float entry": (5.0, 2, 1, 4, 3, 0),
     "bool entry": (5, 2, True, 4, 3, False),
     "rows instead of entries": ((5, 2, 1, 4, 3, 0),),
+    "unhashable entry": (5, 2, [1], 4, 3, 0),
 }
 
 
