@@ -4,15 +4,17 @@ Every axiom in the toolkit is a :class:`Law` row: an id, its variables and a
 Python expression that must hold for every tuple.  :func:`first_violation`
 scans the tuples in row-major order and returns the first failing one as a
 variable-to-element binding, which keeps witnesses deterministic and
-golden-testable.  Each law compiles once into nested loops in which every
-table row is looked up in the outermost loop that fixes it.  A law with three
-or more variables whose innermost test equates rows indexed by the innermost
-variable (left adjointness, associativity, distributivity) first compares the
-whole rows, each built by one C-level getter call, and runs the innermost
-loop only when they differ; equal rows mean every innermost value passes, so
-the first failing tuple cannot change.  Every checker returns a
-:class:`VerificationReport` instead of raising on failure, so one run fully
-characterizes a structure; a passing law's result is one shared object.
+golden-testable.  Each law compiles once, in one pass over its expression,
+into nested loops in which every table row is looked up in the outermost loop
+that fixes it.  A law with three or more variables whose innermost test
+equates rows indexed by the innermost variable (left adjointness,
+associativity, distributivity) first compares the whole rows, a composed row
+`A[B[z]]` read as `_gT[i](A)` from a list of one C-level getter per row of
+B's table T, and runs the innermost loop only when they differ; equal rows
+mean every innermost value passes, so the first failing tuple cannot change.
+Every checker returns a :class:`VerificationReport` instead of raising on
+failure, so one run fully characterizes a structure; a passing law's result
+is one shared object.
 """
 
 from __future__ import annotations
@@ -55,30 +57,46 @@ class Law:
 _TABLES = frozenset(("leq", "join", "meet", "comp", "odot", "imp"))
 
 
-def _hoist(vs: list[str], holds: str) -> tuple[str, list[list[str]]]:
-    """Move each table lookup to the outermost loop that binds its variables.
+@functools.cache
+def _scanner(variables: str, holds: str):
+    """Compile a law once into nested loops returning its first failing tuple.
 
-    Returns the innermost test and, per loop depth (0 before the first loop),
-    the temporaries to assign there.  A chain such as leq[odot[x][y]] that
-    reads only x and y is computed once per (x, y), not once per (x, y, z);
+    The compiled loops run like hand-written ones: no Python call per tuple,
+    and every table lookup moves to the outermost loop that binds its
+    variables.  A chain such as leq[odot[x][y]] that reads only x and y
+    becomes a temporary computed once per (x, y), not once per (x, y, z);
     inside a generator, whose own variable the scan does not bind, chains
     free of that variable move to the innermost loop.
+
+    With three or more variables, an innermost test that is a conjunction of
+    equalities whose every side is a row indexed by the innermost variable
+    `z` (`R[z]`, column R) or a row composed with a row (`A[B[z]]` with B a
+    temporary holding row i of table T, column `_gT[i](A)`) is first checked
+    on whole columns, and the innermost loop is skipped when they are equal.
+    The check reads the hoisted chains directly, and `_gT` lists a getter
+    for every row of T, built once before the first loop.  No law equates
+    `z` itself, so a bare `z` side does not qualify.  Equal columns make
+    every `z` pass: the tables hold ints and bools, whose equality is
+    reflexive, so tuple equality is `==` on every entry, and the first
+    failing tuple is the same.  For n = 1 a getter returns a scalar, a row
+    never equals it, and the exact loop runs.  One or two variables keep
+    plain loops: at n = 12, building the getters costs what the comparison
+    saves.  The generated source is kept as the function's `source`.
     """
+    vs = variables.split(",")
     depth_of = {v: d for d, v in enumerate(vs, 1)}
     depth_of.update(dict.fromkeys(_TABLES | {"bottom", "top"}, 0))
+    # Per loop depth (0 before the first loop), the lines to run there.
     assigns: list[list[str]] = [[] for _ in range(len(vs) + 1)]
-    temps: dict[str, str] = {}
-    depth: dict[int, int | None] = {}
+    temps: dict[str, str] = {}  # chain source -> temporary
+    chains: dict[str, ast.Subscript] = {}  # temporary -> its chain node
 
     def measure(node) -> int | None:
         """Innermost loop depth the node reads, or None if it reads another name."""
-        ds = [measure(child) for child in ast.iter_child_nodes(node)]
         if isinstance(node, ast.Name):
-            d = depth_of.get(node.id)
-        else:
-            d = None if None in ds else max(ds, default=0)
-        depth[id(node)] = d
-        return d
+            return depth_of.get(node.id)
+        ds = [measure(child) for child in ast.iter_child_nodes(node)]
+        return None if None in ds else max(ds, default=0)
 
     def is_chain(node) -> bool:
         """A lookup such as leq[x] or join[x][comp[y]] into one of the tables."""
@@ -92,131 +110,61 @@ def _hoist(vs: list[str], holds: str) -> tuple[str, list[list[str]]]:
         """Replace each chain reading only loops above `limit` by a temporary."""
         if isinstance(node, ast.GeneratorExp):
             limit = len(vs) + 1
-        if is_chain(node):
-            d = depth[id(node)]
-            if d is not None and d < limit:
-                source = ast.unparse(rewrite_fields(node, d))
-                if source not in temps:
-                    temps[source] = f"_h{len(temps)}"
-                    assigns[d].append(f"{temps[source]} = {source}")
-                return ast.Name(temps[source], ast.Load())
-        return rewrite_fields(node, limit)
-
-    def rewrite_fields(node, limit: int):
+        depth = measure(node) if is_chain(node) else None
+        hoisted = depth is not None and depth < limit
+        if hoisted:
+            limit = depth
         for field, value in ast.iter_fields(node):
             if isinstance(value, ast.AST):
-                setattr(node, field, rewrite(value, limit))
+                value = rewrite(value, limit)
             elif isinstance(value, list):
-                setattr(
-                    node,
-                    field,
-                    [rewrite(v, limit) if isinstance(v, ast.AST) else v for v in value],
-                )
-        return node
+                value = [rewrite(v, limit) if isinstance(v, ast.AST) else v for v in value]
+            setattr(node, field, value)
+        if not hoisted:
+            return node
+        source = ast.unparse(node)
+        if source not in temps:
+            temps[source] = f"_h{len(temps)}"
+            chains[temps[source]] = node
+            assigns[limit].append(f"{temps[source]} = {source}")
+        return ast.Name(temps[source], ast.Load())
 
-    tree = ast.parse(holds, mode="eval").body
-    measure(tree)
-    test = rewrite(tree, len(vs))
-    return ast.unparse(test), assigns
-
-
-def _row_filter(z: str, test: str, assigns: list[list[str]]):
-    """Lines to add per loop depth and a whole-row test that implies `test`
-    for every `z`, or None.
-
-    Applies when `test` is a conjunction of equalities whose every side is
-    `z` (column `tuple(N)`), a row indexed by it (`R[z]`, column R) or a row
-    composed with a row (`A[B[z]]` with B a temporary holding a row of table
-    T, column `itemgetter(*B)(A)`).  The getters for every row of T are built
-    once at depth 0, and B's getter is taken in the loop that assigns B.
-    Equal columns make every `z` pass: the tables hold ints and bools, whose
-    equality is reflexive, so tuple equality is `==` on every entry.  For
-    n = 1 a getter returns a scalar, a row never equals it, and the exact
-    loop runs.
-    """
-    placed = {}
-    for depth, level in enumerate(assigns):
-        for a in level:
-            name, source = a.split(" = ", 1)
-            placed[name] = depth, source
-    extra: list[list[str]] = [[] for _ in assigns]
-
-    def add(depth: int, line: str, first: bool = False) -> None:
-        if line not in extra[depth]:
-            extra[depth].insert(0 if first else len(extra[depth]), line)
+    z = vs[-1]
+    getters: dict[str, None] = {}  # tables whose row getters the check reads
 
     def column(side) -> str | None:
-        if isinstance(side, ast.Name) and side.id == z:
-            add(0, "_N = tuple(N)", first=True)
-            return "_N"
+        """One expression for the values of `side` over every `z`, or None."""
         if not (isinstance(side, ast.Subscript) and isinstance(side.value, ast.Name)):
             return None
         outer, index = side.value.id, side.slice
-        if outer == z:
-            return None
         if isinstance(index, ast.Name) and index.id == z:
             return outer
-        if not (
-            isinstance(index, ast.Subscript)
-            and isinstance(index.value, ast.Name)
-            and index.value.id in placed
-            and isinstance(index.slice, ast.Name)
-            and index.slice.id == z
-        ):
+        row = chains.get(column(index))  # A[B[z]] with B a temporary
+        table = row.value if row else None
+        if not (isinstance(table, ast.Name) and table.id in _TABLES):
             return None
-        depth, source = placed[index.value.id]
-        row = ast.parse(source, mode="eval").body
-        if not (isinstance(row.value, ast.Name) and row.value.id in _TABLES):
-            return None
-        table, getter = row.value.id, f"_g{index.value.id}"
-        add(0, f"_g{table} = [_itemgetter(*_r) for _r in {table}]", first=True)
-        add(depth, f"{getter} = _g{table}[{ast.unparse(row.slice)}]")
-        return f"{getter}({outer})"
+        getters[table.id] = None
+        return f"_g{table.id}[{ast.unparse(row.slice)}]({outer})"
 
-    node = ast.parse(test, mode="eval").body
-    terms = node.values if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And) else [node]
-    checks = []
-    for term in terms:
-        if not (
-            isinstance(term, ast.Compare)
-            and len(term.ops) == 1
-            and isinstance(term.ops[0], ast.Eq)
-        ):
-            return None
-        sides = [column(term.left), column(term.comparators[0])]
-        if None in sides:
-            return None
-        checks.append(" == ".join(sides))
-    return extra, " and ".join(checks)
-
-
-@functools.cache
-def _scanner(variables: str, holds: str):
-    """Compile a law once into nested loops returning its first failing tuple.
-
-    The compiled loops run like hand-written ones: no Python call per tuple,
-    and every table row is looked up in the outermost loop that fixes it.  A
-    law with three or more variables whose innermost test `_row_filter`
-    accepts first compares whole rows and skips the innermost loop when they
-    are equal; since then every innermost value passes, the first failing
-    tuple is the same.  One or two variables keep plain loops: at n = 12,
-    building the getters costs what the comparison saves.  The generated
-    source is kept as the function's `source`.
-    """
-    vs = variables.split(",")
-    test, assigns = _hoist(vs, holds)
-    rows = _row_filter(vs[-1], test, assigns) if len(vs) >= 3 else None
-    if rows is not None:
-        extra, check = rows
-        for level, more in zip(assigns, extra):
-            level += more
-        assigns[-2] += [f"if {check}:", "    continue"]
+    test = rewrite(ast.parse(holds, mode="eval").body, len(vs))
+    if len(vs) >= 3:
+        is_and = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
+        terms = test.values if is_and else [test]
+        sides = [
+            (column(t.left), column(t.comparators[0]))
+            for t in terms
+            if isinstance(t, ast.Compare) and [type(op) for op in t.ops] == [ast.Eq]
+        ]
+        if len(sides) == len(terms) and all(None not in pair for pair in sides):
+            assigns[0] += [f"_g{t} = [_itemgetter(*_r) for _r in {t}]" for t in getters]
+            check = " and ".join(f"{a} == {b}" for a, b in sides)
+            assigns[-2] += [f"if {check}:", "    continue"]
     lines = ["def scan(N, leq, join, meet, bottom, top, comp, odot, imp):"]
     lines += ["    " + a for a in assigns[0]]
     for depth, v in enumerate(vs, 1):
         lines.append("    " * depth + f"for {v} in N:")
         lines += ["    " * (depth + 1) + a for a in assigns[depth]]
-    lines.append("    " * (len(vs) + 1) + f"if not ({test}):")
+    lines.append("    " * (len(vs) + 1) + f"if not ({ast.unparse(test)}):")
     lines.append("    " * (len(vs) + 2) + f"return ({', '.join(vs)},)")
     source = "\n".join(lines)
     namespace: dict = {"_itemgetter": operator.itemgetter}

@@ -6,7 +6,9 @@ read anywhere in the module, including annotations and `__all__`; the package
 `__init__` is skipped, because its imports are the public re-exports.  A
 top-level definition in `src/omlat` counts as used when `omlat.__all__`
 exports it or when some module of the package reads it as a name, an
-attribute or an import.
+attribute or an import.  A function nested in a package function counts as
+used when the enclosing function reads its name outside the nested body, so
+a helper that only calls itself, or that nothing calls, shows.
 """
 
 from __future__ import annotations
@@ -103,3 +105,48 @@ def test_scan_finds_a_dead_definition():
 def test_no_dead_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert dead_definitions(sources, omlat.__all__) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def dead_nested_functions(source: str) -> list[str]:
+    """Nested functions whose enclosing function never reads them, apart
+    from reads inside their own body."""
+    dead = set()
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, FUNCTIONS):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, FUNCTIONS):
+                continue
+            own = {id(node) for node in ast.walk(inner)}
+            if not any(
+                isinstance(node, ast.Name) and node.id == inner.name and id(node) not in own
+                for node in ast.walk(outer)
+            ):
+                dead.add(f"line {inner.lineno}: {inner.name}")
+    return sorted(dead)
+
+
+def test_scan_finds_a_dead_nested_function():
+    source = (
+        "def f():\n"
+        "    def used(): return 1\n"
+        "    def unused(): return used()\n"
+        "    def loop(k): return loop(k - 1)\n"
+        "    def outer_helper():\n"
+        "        def inner(): pass\n"
+        "    return used()\n"
+    )
+    assert dead_nested_functions(source) == [
+        "line 3: unused",
+        "line 4: loop",
+        "line 5: outer_helper",
+        "line 6: inner",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"omlat/{p.name}")
+def test_no_dead_nested_functions(path):
+    assert dead_nested_functions(path.read_text(encoding="utf-8")) == []

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 
 from conftest import make_boolean, make_mo
 from omlat import (
@@ -254,10 +255,23 @@ def test_compiled_scans_match_naive_evaluation_on_passing_structures():
 
 def test_row_filter_covers_three_variable_equalities_only():
     """Left adjointness, associativity and distributivity compare whole rows
-    before their innermost loop; no law with one or two variables does."""
+    before their innermost loop; no law with one or two variables does.  The
+    row getters are built over imp for left adjointness and over join and
+    meet for the other two, and no other law builds any."""
     laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
     filtered = {
         law.id for law in laws if "continue" in _scanner(law.vars, law.holds).source
     }
     assert filtered == FILTERED_LAWS
     assert all(law.vars.count(",") == 2 for law in laws if law.id in filtered)
+    sources = {law.id: _scanner(law.vars, law.holds).source for law in laws}
+    getters = {
+        law_id: set(re.findall(r"for _r in (\w+)\]", source))
+        for law_id, source in sources.items()
+        if "_itemgetter" in source
+    }
+    assert getters == {
+        "left-adjointness": {"imp"},
+        "associativity": {"join", "meet"},
+        "distributivity": {"join", "meet"},
+    }
