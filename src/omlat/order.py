@@ -24,13 +24,14 @@ up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
 cover closure runs on masks, covers are the two-element intervals, and join
 and meet come from up-set (down-set) intersection: the upper bounds of x and
 y are up[x] & up[y], and x v y is the element whose up-set is exactly that.
-`lattice_from_covers` builds the tables from the closure's own masks.
+A poset built from masks keeps them as `FinitePoset.up`; others compute it.
 
 The one canonical form is `canonical_certificate`.  It refines the elements of
-a poset or lattice into an isomorphism-invariant partition, takes the least
-relabeled order (and unary table) over the permutations within its cells, and
-writes it out as text.  Enumeration certifies each candidate once and uses the
-certificate both to deduplicate and to sort its output.
+a poset or lattice into an isomorphism-invariant partition on masks, takes the
+least relabeled order (and unary table) over the permutations within its
+cells, and writes it out as text.  Twins (same strict up-set and down-set)
+keep their index order when no table is given.  Enumeration certifies each
+candidate once and uses the certificate both to deduplicate and to sort.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from .reports import Law, VerificationReport, check_laws
 
 ElementId = int
 
-# The certificate tries every permutation within the refinement cells; it
-# refuses structures whose cells allow more than 8! of them.
+# The certificate refuses structures whose refinement cells allow more than
+# 8! permutations, counted before twins are collapsed.
 _MAX_RELABELINGS = factorial(8)
 
 
@@ -69,6 +70,11 @@ class FinitePoset:
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """Up-set masks, bit y of up[x] iff x <= y; not a field, like `_rows`."""
+        return up_sets(self.leq)
 
     def index(self, name: str) -> ElementId:
         try:
@@ -98,6 +104,10 @@ class BoundedLattice:
     @property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
         return self.poset.leq
+
+    @property
+    def up(self) -> tuple[int, ...]:
+        return self.poset.up
 
     @property
     def is_trivial(self) -> bool:
@@ -163,7 +173,7 @@ def check_unary_table(n: int, u) -> tuple[ElementId, ...]:
     return u
 
 
-def _closure(names, covers) -> tuple[tuple[str, ...], list[int], list[int]]:
+def _closure(names, covers) -> tuple[tuple[str, ...], tuple[int, ...], list[int]]:
     """Validated names and the up-set and down-set masks of the cover closure."""
     names = tuple(names)
     seen: set[str] = set()
@@ -196,7 +206,7 @@ def _closure(names, covers) -> tuple[tuple[str, ...], list[int], list[int]]:
             raise CycleDetectedError(
                 f"cycle through {names[x]!r} and {names[y]!r}: input is not a partial order"
             )
-    return names, up, down
+    return names, tuple(up), down
 
 
 def poset_from_covers(names, covers) -> FinitePoset:
@@ -206,7 +216,14 @@ def poset_from_covers(names, covers) -> FinitePoset:
     or empty names, unknown cover endpoints, and cyclic input.
     """
     names, up, _ = _closure(names, covers)
-    return FinitePoset(names, order_matrix(up))
+    return _poset_from_up(names, up)
+
+
+def _poset_from_up(names: tuple[str, ...], up) -> FinitePoset:
+    """The poset on `names` whose up-set masks are `up`, keeping the masks."""
+    p = FinitePoset(names, order_matrix(up))
+    object.__setattr__(p, "up", up)
+    return p
 
 
 def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
@@ -216,11 +233,10 @@ def lattice_from_poset(p: FinitePoset) -> BoundedLattice:
     NotBoundedError, a pair without a least upper (greatest lower) bound
     raises NotALatticeError naming the offending pair.
     """
-    up = up_sets(p.leq)
-    return _lattice_from_up(p, up, down_sets(up))
+    return _lattice_from_up(p, p.up, down_sets(p.up))
 
 
-def _lattice_from_up(p: FinitePoset, up: list[int], down: list[int]) -> BoundedLattice:
+def _lattice_from_up(p: FinitePoset, up: tuple[int, ...], down: list[int]) -> BoundedLattice:
     """The lattice on p, whose up-set and down-set masks are `up` and `down`."""
     n = p.n
     if n == 0:
@@ -266,13 +282,12 @@ def _lattice_from_up(p: FinitePoset, up: list[int], down: list[int]) -> BoundedL
 def lattice_from_covers(names, covers) -> BoundedLattice:
     """`lattice_from_poset(poset_from_covers(names, covers))`, kept on masks."""
     names, up, down = _closure(names, covers)
-    return _lattice_from_up(FinitePoset(names, order_matrix(up)), up, down)
+    return _lattice_from_up(_poset_from_up(names, up), up, down)
 
 
 def transitive_reduction(p: FinitePoset) -> tuple[tuple[ElementId, ElementId], ...]:
     """Cover pairs (x, y), x < y with no element strictly between, row-major."""
-    up = up_sets(p.leq)
-    down = down_sets(up)
+    up, down = p.up, down_sets(p.up)
     return tuple(
         (x, y)
         for x in range(p.n)
@@ -346,9 +361,9 @@ def relabel_lattice(l: BoundedLattice, perm) -> BoundedLattice:
     )
 
 
-def up_sets(leq) -> list[int]:
+def up_sets(leq) -> tuple[int, ...]:
     """Up-set bitmasks from an order matrix: bit y of up[x] iff x <= y."""
-    return [sum(1 << y for y, v in enumerate(row) if v) for row in leq]
+    return tuple(sum(1 << y for y, v in enumerate(row) if v) for row in leq)
 
 
 def order_matrix(up) -> tuple[tuple[bool, ...], ...]:
@@ -359,77 +374,107 @@ def order_matrix(up) -> tuple[tuple[bool, ...], ...]:
 
 def down_sets(up) -> list[int]:
     """Down-set bitmasks from up-set bitmasks: bit x of down[y] iff x <= y."""
-    n = len(up)
-    down = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if (up[x] >> y) & 1:
-                down[y] |= 1 << x
+    down = [0] * len(up)
+    for x, u in enumerate(up):
+        while u:
+            low = u & -u
+            down[low.bit_length() - 1] |= 1 << x
+            u ^= low
     return down
 
 
 def _refinement_cells(up, down) -> list[list[ElementId]]:
-    """Partition elements by an iso-invariant iterated signature."""
+    """Partition elements by an iso-invariant iterated signature.
+
+    Colors start as (up-set size, down-set size).  A round recolors x by its
+    color and the sorted colors strictly above and below it, each color c
+    taken `(mask & class_mask[c]).bit_count()` times.  Rounds stop when no
+    class splits or each is one element; cells come in color order.
+    """
     n = len(up)
-    color: list = [(up[x].bit_count(), down[x].bit_count()) for x in range(n)]
+    color: list = [(u.bit_count(), d.bit_count()) for u, d in zip(up, down)]
     classes = len(set(color))
-    while True:
-        sigs = []
-        for x in range(n):
-            above = tuple(sorted(color[y] for y in range(n) if y != x and (up[x] >> y) & 1))
-            below = tuple(sorted(color[y] for y in range(n) if y != x and (down[x] >> y) & 1))
-            sigs.append((color[x], above, below))
-        palette = sorted(set(sigs))
-        color = [palette.index(s) for s in sigs]
-        if len(palette) == classes:
+    while classes < n:
+        masks: dict = {}
+        for x, c in enumerate(color):
+            masks[c] = masks.get(c, 0) | 1 << x
+        palette = sorted(masks.items())
+
+        def colors(mask):
+            return tuple([c for c, m in palette for _ in range((mask & m).bit_count())])
+
+        # an element alone in its class keeps its place by its color alone
+        sigs = [
+            (c, colors(up[x] ^ 1 << x), colors(down[x] ^ 1 << x))
+            if masks[c] & (masks[c] - 1) else (c,)
+            for x, c in enumerate(color)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        color = [rank[sig] for sig in sigs]
+        if len(rank) == classes:
             break
-        classes = len(palette)
-    cells: dict[int, list[ElementId]] = {}
-    for x in range(n):
-        cells.setdefault(color[x], []).append(x)
+        classes = len(rank)
+    cells: dict = {}
+    for x, c in enumerate(color):
+        cells.setdefault(c, []).append(x)
     return [cells[c] for c in sorted(cells)]
+
+
+def _arrangements(cell, label) -> list[list[ElementId]]:
+    """The orders of a cell in which elements with one label keep index order."""
+    if len(cell) == 1:
+        return [cell]
+    orders = []
+    for labels in dict.fromkeys(itertools.permutations([label[x] for x in cell])):
+        stacks: dict = {}
+        for x in reversed(cell):
+            stacks.setdefault(label[x], []).append(x)
+        orders.append([stacks[l].pop() for l in labels])
+    return orders
 
 
 def canonical_certificate(s, u=None) -> CanonicalCertificate:
     """The canonical form written out as text: `n=N|leq=...`, plus `|comp=...`.
 
-    `s` is a `FinitePoset` or a `BoundedLattice`; only `s.n` and `s.leq` are
-    read, since in a lattice the order already fixes join and meet.  The
-    refinement partition is isomorphism-invariant and its cells are laid out
-    in an invariant order, so only permutations within cells are tried.  The
-    least (rows, table) over them is written out: character j of leq row i is
-    1 iff new element i <= new element j, and a unary table `u` takes part in
-    the minimization as the relabeled `u`.  Certificates are therefore equal
-    iff the structures are isomorphic.  Raises SizeLimitExceededError when
-    the refinement cells allow more than 8! relabelings.
+    `s` is a `FinitePoset` or a `BoundedLattice`; only `s.n` and the up-set
+    masks `s.up` are read, since in a lattice the order already fixes join
+    and meet.  The refinement partition is isomorphism-invariant and its
+    cells are laid out in an invariant order, so only permutations within
+    cells are tried.  Swapping twins (same strict up-set and down-set) is an
+    automorphism and keeps the relabeled rows, so without a table twins keep
+    their index order.  The least (rows, table) is written out: character j
+    of leq row i is 1 iff new element i <= new element j, and a unary table
+    `u` takes part in the minimization as the relabeled `u`.  Certificates
+    are therefore equal iff the structures are isomorphic.  Raises
+    SizeLimitExceededError when the cells allow more than 8! permutations.
     """
     n = s.n
     if u is not None:
         u = check_unary_table(n, u)
-    up = up_sets(s.leq)
-    cells = _refinement_cells(up, down_sets(up))
-    relabelings = prod(factorial(len(c)) for c in cells)
+    up, down = s.up, down_sets(s.up)
+    cells = _refinement_cells(up, down)
+    relabelings = prod(map(factorial, map(len, cells)))
     if relabelings > _MAX_RELABELINGS:
         raise SizeLimitExceededError(
             f"canonicalization needs {relabelings} relabelings, "
             f"the limit is {_MAX_RELABELINGS}"
         )
+    # twins share a label, the least of them; with a table no two elements do
+    keys = [x if u is not None else (up[x] ^ 1 << x, down[x] ^ 1 << x) for x in range(n)]
+    label = [keys.index(k) for k in keys]
+    members = [[y for y in range(n) if m >> y & 1] for m in up]
+    bits = [1 << i for i in range(n)]
     best = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+    for parts in itertools.product(*[_arrangements(c, label) for c in cells]):
         order = [x for part in parts for x in part]
-        rows = []
-        for i in range(n):
-            ui = up[order[i]]
-            row = 0
-            for j in range(n):
-                if (ui >> order[j]) & 1:
-                    row |= 1 << j
-            rows.append(row)
+        # row i ORs bit[y] = 1 << (new index of y) over the members y of up[order[i]]
+        bit = dict(zip(order, bits)).__getitem__
+        rows = tuple([sum(map(bit, members[x])) for x in order])
         if u is None:
-            key = (tuple(rows), ())
+            key = (rows, ())
         else:
-            pos = {old: new for new, old in enumerate(order)}
-            key = (tuple(rows), tuple(pos[u[order[i]]] for i in range(n)))
+            new = dict(zip(order, range(n)))
+            key = (rows, tuple([new[u[x]] for x in order]))
         if best is None or key < best:
             best = key
     rows, table = best

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from .errors import SizeLimitExceededError, UnknownAxiomIdError
 from .order import (
     BoundedLattice,
-    FinitePoset,
     _lattice_from_up,
+    _poset_from_up,
     canonical_certificate,
     down_sets,
-    order_matrix,
 )
 from .ortho import (
     ORTHO_LAWS,
@@ -130,14 +129,6 @@ def _semilattice_extensions(up: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def _poset_from_order_rows(up) -> FinitePoset:
-    return FinitePoset(tuple(f"e{i}" for i in range(len(up))), order_matrix(up))
-
-
-def _lattice_from_order_rows(up) -> BoundedLattice:
-    return _lattice_from_up(_poset_from_order_rows(up), up, down_sets(up))
-
-
 def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
     """One representative per isomorphism class, sizes 1 through max_size.
 
@@ -153,15 +144,16 @@ def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
     # top; the empty one stands for the one-element lattice.  Candidates are
     # generated lazily, so none are built beyond max_size.
     candidates = [()]
-    for _ in range(cfg.max_size):
-        level: dict[bytes, tuple[int, ...]] = {}
+    for size in range(1, cfg.max_size + 1):
+        names = tuple(f"e{i}" for i in range(size))
+        # certificate -> (semilattice, the certified poset of its lattice)
+        level: dict[bytes, tuple] = {}
         for up in candidates:
-            cert = canonical_certificate(_poset_from_order_rows(_with_top(up))).data
-            level.setdefault(cert, up)
-        results.extend(
-            _lattice_from_order_rows(_with_top(level[c])) for c in sorted(level)
-        )
-        candidates = (ext for up in level.values() for ext in _semilattice_extensions(up))
+            p = _poset_from_up(names, _with_top(up))
+            level.setdefault(canonical_certificate(p).data, (up, p))
+        for _, p in map(level.get, sorted(level)):
+            results.append(_lattice_from_up(p, p.up, down_sets(p.up)))
+        candidates = (ext for up, _ in level.values() for ext in _semilattice_extensions(up))
     return results
 
 

@@ -5,6 +5,8 @@ exhaustive methods, deliberately sharing no logic with the package: posets are
 generated by down-set backtracking, isomorphism classes by minimizing over
 all n! relabelings, complementations by scanning all n^n unary maps, covers
 by boolean matrix multiplication, and Boolean algebras from subset tables.
+The one exception is `reference_certificate`, a copy of the certificate's
+first design, which the package's faster one must match byte for byte.
 """
 
 from __future__ import annotations
@@ -114,6 +116,50 @@ def orbit_sum(leq_matrices, n: int) -> int:
     for leq in leq_matrices:
         total += factorial(n) // automorphism_count(leq, n)
     return total
+
+
+def reference_certificate(leq, u=None) -> bytes:
+    """The canonical certificate by its first design, read off the matrix.
+
+    Colors start as (up-set size, down-set size) and are refined by sorted
+    tuples of the colors strictly above and below each element until the
+    class count stops growing; every permutation within every cell is tried,
+    twins included, and the least (rows, relabeled table) is written out as
+    `n=N|leq=...`, plus `|comp=...` when a table is given.  There is no cap.
+    """
+    n = len(leq)
+    color: list = [
+        (sum(map(bool, leq[x])), sum(bool(row[x]) for row in leq)) for x in range(n)
+    ]
+    classes = len(set(color))
+    while True:
+        sigs = []
+        for x in range(n):
+            above = tuple(sorted(color[y] for y in range(n) if y != x and leq[x][y]))
+            below = tuple(sorted(color[y] for y in range(n) if y != x and leq[y][x]))
+            sigs.append((color[x], above, below))
+        palette = sorted(set(sigs))
+        color = [palette.index(sig) for sig in sigs]
+        if len(palette) == classes:
+            break
+        classes = len(palette)
+    cells = [[x for x in range(n) if color[x] == c] for c in sorted(set(color))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        order = [x for part in parts for x in part]
+        rows = tuple(
+            sum(1 << j for j in range(n) if leq[order[i]][order[j]]) for i in range(n)
+        )
+        table = () if u is None else tuple(order.index(u[x]) for x in order)
+        if best is None or (rows, table) < best:
+            best = (rows, table)
+    rows, table = best
+    text = f"n={n}|leq=" + ";".join(
+        "".join("1" if (row >> j) & 1 else "0" for j in range(n)) for row in rows
+    )
+    if u is not None:
+        text += "|comp=" + ",".join(map(str, table))
+    return text.encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -32,6 +33,7 @@ from omlat import (
     transitive_reduction,
     verify_lattice,
 )
+from omlat.order import up_sets
 
 CORPUS = enumerate_bounded_lattices(EnumerationConfig(6))
 
@@ -371,6 +373,77 @@ class TestCertificateWithUnaryTable:
         for t, ct in zip(tables, certs):
             c = permute_candidate(OrthoCandidate(l, t), rng.sample(range(n), n))
             assert canonical_certificate(c.lattice, c.comp).data == ct
+
+
+def _matrix(up) -> tuple[tuple[bool, ...], ...]:
+    return tuple(tuple(bool(m >> y & 1) for y in range(len(up))) for m in up)
+
+
+def _random_order(rng: random.Random, n: int) -> tuple[tuple[bool, ...], ...]:
+    """A random partial order on n points: random edges upward in index order,
+    closed transitively, then relabeled at random."""
+    density = rng.uniform(0.15, 0.6)
+    up = [1 << x for x in range(n)]
+    for x in reversed(range(n)):
+        for y in range(x + 1, n):
+            if rng.random() < density:
+                up[x] |= up[y]
+    perm = rng.sample(range(n), n)
+    moved = [0] * n
+    for x in range(n):
+        moved[perm[x]] = sum(1 << perm[y] for y in range(n) if up[x] >> y & 1)
+    return _matrix(moved)
+
+
+def test_certificate_matches_the_reference_byte_for_byte():
+    """Against the first design, which tries twins in every order.
+
+    The 6-point poset 0 < 1, 0 < 5, 2 < 3, 2 < 4 has a cell {1, 3, 4, 5} in
+    which all four share a strict up-set but only 1, 5 and 3, 4 are twins.
+    """
+    rng = random.Random(14)
+    orders = [_matrix([35, 2, 28, 8, 16, 32])]
+    orders += [_random_order(rng, rng.randint(5, 8)) for _ in range(2000)]
+    for leq in orders:
+        p = FinitePoset(tuple(f"p{i}" for i in range(len(leq))), leq)
+        got = canonical_certificate(p).data
+        assert got == oracles.reference_certificate(leq), up_sets(leq)
+    lattices = enumerate_bounded_lattices(EnumerationConfig(9))
+    for l in lattices:
+        moved = relabel_lattice(l, rng.sample(range(l.n), l.n))
+        assert canonical_certificate(moved).data == oracles.reference_certificate(moved.leq)
+    pairs = [(l, t) for l in lattices for t in enumerate_orthocomplements(l)]
+    assert len(pairs) == 27
+    for l, t in pairs:
+        assert canonical_certificate(l, t).data == oracles.reference_certificate(l.leq, t)
+
+
+class TestUpSetMasks:
+    def test_equal_up_sets_of_the_matrix(self):
+        from_covers = poset_from_covers(["0", "a", "b"], [("0", "a"), ("0", "b")])
+        from_matrix = FinitePoset(("a", "b", "c"), _matrix([0b011, 0b010, 0b100]))
+        for p in (from_covers, from_matrix):
+            assert p.up == up_sets(p.leq)
+        lattice = make_boolean(3).lattice
+        assert lattice.up == lattice.poset.up == up_sets(lattice.leq)
+
+    def test_poset_looks_the_same_with_its_masks(self):
+        kept = make_mo2().lattice.poset
+        computed = FinitePoset(kept.names, kept.leq)
+        assert "up" in vars(kept) and computed.up == kept.up
+        plain = FinitePoset(kept.names, kept.leq)
+        assert "up" not in vars(plain)
+        for p in (kept, computed):
+            assert p == plain and plain == p
+            assert (repr(p), hash(p)) == (repr(plain), hash(plain))
+
+    def test_replace_recomputes_the_masks(self):
+        p = poset_from_covers(["0", "a", "1"], [("0", "a"), ("a", "1")])
+        assert p.up == (0b111, 0b110, 0b100)
+        copy = dataclasses.replace(p)
+        assert "up" not in vars(copy) and copy.up == p.up
+        upside_down = dataclasses.replace(p, leq=_matrix([0b001, 0b011, 0b111]))
+        assert upside_down.up == (0b001, 0b011, 0b111)
 
 
 class TestRelabel:
