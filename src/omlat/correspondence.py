@@ -107,7 +107,9 @@ def round_trip_check(structure) -> VerificationReport:
     compare order and complement tables cell by cell.  For a groupoid A
     passing the round-trip profile: rebuild A from its induced lattice and
     compare the product and residual tables.  Mismatches are report entries
-    carrying the first differing cell, never exceptions.
+    carrying the first differing cell, never exceptions.  `roundtrip-order`
+    compares the input's lattice with itself and cannot fail; a broken hook
+    fails left adjointness in `induced_oml` first (HypothesisViolatedError).
     """
     if isinstance(structure, OrthoCandidate):
         c = structure

@@ -51,7 +51,7 @@ from .errors import (
     TableNotTotalError,
     UnknownElementError,
 )
-from .reports import Law, VerificationReport, check_laws
+from .reports import Law, VerificationReport, byte_mirror, check_laws
 
 ElementId = int
 
@@ -143,6 +143,11 @@ class BoundedLattice:
         # Not a field: equality, hash, repr and dataclasses.replace never see
         # it, and it is created when the first table row is stored.
         return {}
+
+    @cached_property
+    def _byte_mirror(self) -> dict[str, tuple[tuple[bytes, ...], tuple[bytes, ...]]]:
+        # For the law scans' row checks (n <= 256 only); not a field, like `_rows`.
+        return {t: byte_mirror(getattr(self, t)) for t in ("leq", "join", "meet")}
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ scans the tuples in row-major order and returns the first failing one as a
 variable-to-element binding, which keeps witnesses deterministic and
 golden-testable.  Each law compiles once, in one pass over its expression,
 into nested loops in which every table row is looked up in the outermost loop
-that fixes it.  A law with three or more variables whose innermost test
+that fixes it.  A law with two or more variables whose innermost test
 equates rows indexed by the innermost variable (left adjointness,
-associativity, distributivity) first compares the whole rows, a composed row
-`A[B[z]]` read as `_gT[i](A)` from a list of one C-level getter per row of
-B's table T, and runs the innermost loop only when they differ; equal rows
-mean every innermost value passes, so the first failing tuple cannot change.
+associativity, distributivity, both de Morgan laws) first compares whole rows
+as bytes, `A[B[z]]` as `B.translate(A)` with A padded to 256 bytes, and runs
+the innermost loop only when they differ; equal rows mean every innermost
+value passes, so the first failing tuple cannot change.  Carriers above 256
+elements keep the plain loops.
 Every checker returns a :class:`VerificationReport` instead of raising on
 failure, so one run fully characterizes a structure; a passing law's result
 is one shared object.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import operator
 from dataclasses import dataclass
 
 # ((variable, element name), ...) bindings, e.g. (("x", "a"), ("y", "b"))
@@ -57,8 +57,23 @@ class Law:
 _TABLES = frozenset(("leq", "join", "meet", "comp", "odot", "imp"))
 
 
+def byte_mirror(table) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """A table's rows as bytes, and each padded to a 256-byte translate table."""
+    rows = tuple(map(bytes, table))
+    return rows, tuple(r.ljust(256, b"\0") for r in rows)
+
+
+# How a scan reads a table's bytes (`_bT`) and translate tables (`_tT`) for its
+# row check: the lattice's from its `_byte_mirror`, comp, odot and imp anew.
+_BYTE_READS = {
+    **{t: f"_b{t}, _t{t} = lattice._byte_mirror[{t!r}]" for t in ("leq", "join", "meet")},
+    "comp": '_bcomp = bytes(comp); _tcomp = _bcomp.ljust(256, b"\\0")',
+    **{t: f"_b{t} = [*map(bytes, {t})]" for t in ("odot", "imp")},
+}
+
+
 @functools.cache
-def _scanner(variables: str, holds: str):
+def _scanner(variables: str, holds: str, byte_rows: bool):
     """Compile a law once into nested loops returning its first failing tuple.
 
     The compiled loops run like hand-written ones: no Python call per tuple,
@@ -68,20 +83,15 @@ def _scanner(variables: str, holds: str):
     inside a generator, whose own variable the scan does not bind, chains
     free of that variable move to the innermost loop.
 
-    With three or more variables, an innermost test that is a conjunction of
-    equalities whose every side is a row indexed by the innermost variable
-    `z` (`R[z]`, column R) or a row composed with a row (`A[B[z]]` with B a
-    temporary holding row i of table T, column `_gT[i](A)`) is first checked
-    on whole columns, and the innermost loop is skipped when they are equal.
-    The check reads the hoisted chains directly, and `_gT` lists a getter
-    for every row of T, built once before the first loop.  No law equates
-    `z` itself, so a bare `z` side does not qualify.  Equal columns make
-    every `z` pass: the tables hold ints and bools, whose equality is
-    reflexive, so tuple equality is `==` on every entry, and the first
-    failing tuple is the same.  For n = 1 a getter returns a scalar, a row
-    never equals it, and the exact loop runs.  One or two variables keep
-    plain loops: at n = 12, building the getters costs what the comparison
-    saves.  The generated source is kept as the function's `source`.
+    With two or more variables, an innermost test that is a conjunction of
+    equalities between rows indexed by the innermost variable `z` is first
+    checked on whole rows as bytes, and equal rows skip the innermost loop,
+    since every `z` passes: `R[z]` (R a temporary holding row i of table T)
+    reads `_bT[i]`, `A[B[z]]` reads `_bT[i].translate(_tU[j])`, and A or B
+    may be `comp` itself; no law equates `z` itself.  The check reads no
+    temporary of its own loop, so it runs before them.  Bytes hold 0..255,
+    so `byte_rows` (n <= 256) is in the cache key and larger carriers keep
+    plain loops.  The generated source is kept as the function's `source`.
     """
     vs = variables.split(",")
     depth_of = {v: d for d, v in enumerate(vs, 1)}
@@ -130,24 +140,37 @@ def _scanner(variables: str, holds: str):
         return ast.Name(temps[source], ast.Load())
 
     z = vs[-1]
-    getters: dict[str, None] = {}  # tables whose row getters the check reads
+    reads: dict[str, None] = {}  # tables whose bytes the check reads
+
+    def as_bytes(node, kind: str) -> str | None:
+        """`comp` or a temporary holding row i of a table as bytes (kind "b")
+        or a translate table ("t"), if _BYTE_READS defines that name."""
+        row = chains.get(getattr(node, "id", None))
+        if isinstance(node, ast.Name) and node.id == "comp":
+            table, index = "comp", ""
+        elif row and isinstance(row.value, ast.Name) and row.value.id != "comp":
+            table, index = row.value.id, f"[{ast.unparse(row.slice)}]"
+        else:
+            return None
+        if f"_{kind}{table}" not in _BYTE_READS[table]:
+            return None
+        reads[table] = None
+        return f"_{kind}{table}{index}"
 
     def column(side) -> str | None:
-        """One expression for the values of `side` over every `z`, or None."""
-        if not (isinstance(side, ast.Subscript) and isinstance(side.value, ast.Name)):
+        """One bytes expression for the values of `side` over every `z`, or None."""
+        if not isinstance(side, ast.Subscript):
             return None
-        outer, index = side.value.id, side.slice
-        if isinstance(index, ast.Name) and index.id == z:
-            return outer
-        row = chains.get(column(index))  # A[B[z]] with B a temporary
-        table = row.value if row else None
-        if not (isinstance(table, ast.Name) and table.id in _TABLES):
+        index = side.slice
+        if isinstance(index, ast.Name) and index.id == z:  # R[z]
+            return as_bytes(side.value, "b")
+        if not (isinstance(index, ast.Subscript) and ast.unparse(index.slice) == z):
             return None
-        getters[table.id] = None
-        return f"_g{table.id}[{ast.unparse(row.slice)}]({outer})"
+        inner, outer = as_bytes(index.value, "b"), as_bytes(side.value, "t")
+        return inner and outer and f"{inner}.translate({outer})"  # A[B[z]]
 
     test = rewrite(ast.parse(holds, mode="eval").body, len(vs))
-    if len(vs) >= 3:
+    if byte_rows and len(vs) >= 2:
         is_and = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
         terms = test.values if is_and else [test]
         sides = [
@@ -156,10 +179,10 @@ def _scanner(variables: str, holds: str):
             if isinstance(t, ast.Compare) and [type(op) for op in t.ops] == [ast.Eq]
         ]
         if len(sides) == len(terms) and all(None not in pair for pair in sides):
-            assigns[0] += [f"_g{t} = [_itemgetter(*_r) for _r in {t}]" for t in getters]
+            assigns[0] += [_BYTE_READS[t] for t in reads]
             check = " and ".join(f"{a} == {b}" for a, b in sides)
-            assigns[-2] += [f"if {check}:", "    continue"]
-    lines = ["def scan(N, leq, join, meet, bottom, top, comp, odot, imp):"]
+            assigns[-2][:0] = [f"if {check}:", "    continue"]
+    lines = ["def scan(N, leq, join, meet, bottom, top, comp, odot, imp, lattice):"]
     lines += ["    " + a for a in assigns[0]]
     for depth, v in enumerate(vs, 1):
         lines.append("    " * depth + f"for {v} in N:")
@@ -167,7 +190,7 @@ def _scanner(variables: str, holds: str):
     lines.append("    " * (len(vs) + 1) + f"if not ({ast.unparse(test)}):")
     lines.append("    " * (len(vs) + 2) + f"return ({', '.join(vs)},)")
     source = "\n".join(lines)
-    namespace: dict = {"_itemgetter": operator.itemgetter}
+    namespace: dict = {}
     exec(source, namespace)
     namespace["scan"].source = source
     return namespace["scan"]
@@ -176,12 +199,12 @@ def _scanner(variables: str, holds: str):
 def _scan_args(lattice, comp=None, odot=None, imp=None) -> tuple:
     return (
         range(lattice.n), lattice.leq, lattice.join, lattice.meet,
-        lattice.bottom, lattice.top, comp, odot, imp,
+        lattice.bottom, lattice.top, comp, odot, imp, lattice,
     )
 
 
 def _violation(law: Law, names, args: tuple) -> Witness | None:
-    hit = _scanner(law.vars, law.holds)(*args)
+    hit = _scanner(law.vars, law.holds, len(names) <= 256)(*args)
     return None if hit is None else bind(law.vars, names, hit)
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import pytest
 
 import oracles
-from conftest import make_boolean
+from conftest import make_boolean, make_mo
 import omlat
 from omlat import (
     ALL_AXIOMS,
@@ -20,6 +21,7 @@ from omlat import (
     OrthoCandidate,
     derived_negation,
     enumerate_omls,
+    enumerate_orthocomplements,
     induced_oml,
     lattice_from_covers,
     lattice_from_poset,
@@ -156,6 +158,31 @@ class TestRoundTrip:
             round_trip_check(g)
         assert info.value.axiom == "left-adjointness"
         assert info.value.witness == (("x", "x"), ("y", "y"), ("z", "x"))
+
+    def test_broken_hook_is_caught_on_left_adjointness(self, monkeypatch):
+        """`roundtrip-order` compares the input's lattice with itself and
+        cannot fail; a broken hook is caught before it.  MO3's Sasaki
+        groupoid with one imp cell changed, swapped into the round trip,
+        fails left adjointness with the naive first witness."""
+        l = make_mo(3)
+        c = OrthoCandidate(l, enumerate_orthocomplements(l)[0])
+        g = sasaki_groupoid(c)
+        imp = [list(row) for row in g.imp]
+        imp[2][5] = (imp[2][5] + 1) % l.n
+        broken = LrGroupoid(l, g.odot, imp)
+        monkeypatch.setattr(
+            "omlat.correspondence.sasaki_groupoid", lambda c, override=False: broken
+        )
+        with pytest.raises(HypothesisViolatedError) as info:
+            round_trip_check(c)
+        leq, odot, imp = l.leq, broken.odot, broken.imp
+        want = next(
+            (x, y, z)
+            for x, y, z in itertools.product(range(l.n), repeat=3)
+            if leq[odot[x][y]][z] != leq[x][imp[y][z]]
+        )
+        assert info.value.axiom == "left-adjointness"
+        assert info.value.witness == tuple(zip("xyz", (l.names[e] for e in want)))
 
     def test_ortholattice_suite_runs_once_per_construction(self, mo2, monkeypatch):
         calls = []

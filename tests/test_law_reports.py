@@ -7,6 +7,11 @@ such candidate plus a copy with one seeded `odot` cell changed.  The digest
 covers the rendered reports (entry order, verdicts, witnesses and notes), the
 groupoid profiles, `is_boolean`, and `find_counterexample` for every axiom id,
 so any change to a law, its scan order or its report layout shows here.
+
+A second corpus, pinned by its own digest, aims at the failing side: every
+lattice up to size 7 with one seeded `meet` cell, its bottom or its top
+corrupted, the ortholattice suites over the corrupted `meet`, and every Sasaki
+groupoid up to size 6 with one seeded `imp` cell changed.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ from omlat import (
     sasaki_groupoid,
     verify_lattice,
     verify_lrg,
+    verify_oml,
     verify_ortholattice,
 )
-from omlat.order import LATTICE_LAWS, BoundedLattice, FinitePoset
-from omlat.ortho import ORTHO_LAWS
+from omlat.order import LATTICE_LAWS, BoundedLattice, FinitePoset, lattice_from_covers
+from omlat.ortho import ORTHO_LAWS, ORTHOLATTICE_LAWS
 from omlat.reports import _scanner, bind, first_violation
 from omlat.residuated import GROUPOID_LAWS
 
@@ -60,6 +66,19 @@ def _corrupt_join(l, rng: random.Random):
     join = [list(row) for row in l.join]
     join[x][y] = _other_value(rng, l.n, join[x][y])
     return dataclasses.replace(l, join=tuple(tuple(row) for row in join))
+
+
+def _corrupt_meet(l, rng: random.Random):
+    x, y = rng.randrange(l.n), rng.randrange(l.n)
+    value = _other_value(rng, l.n, l.meet[x][y])
+    return dataclasses.replace(l, meet=_with_cell(l.meet, x, y, value))
+
+
+def _corrupt_imp(g: LrGroupoid, rng: random.Random) -> LrGroupoid:
+    n = g.lattice.n
+    x, y = rng.randrange(n), rng.randrange(n)
+    value = _other_value(rng, n, g.imp[x][y])
+    return LrGroupoid(g.lattice, g.odot, _with_cell(g.imp, x, y, value))
 
 
 def _corrupt_odot(g: LrGroupoid, rng: random.Random) -> LrGroupoid:
@@ -120,6 +139,63 @@ def test_law_reports_are_pinned():
     assert (lines, failing, digest.hexdigest()) == PINNED_REPORTS
 
 
+PINNED_CORRUPTED_REPORTS = (
+    4281,
+    5352,
+    "6250ccf9d59e1e889b08ef35715584275b309c8f9b80f053cdcc6f188f0ae82f",
+)
+
+
+def _groupoid_lines(g: LrGroupoid):
+    yield verify_lrg(g).render("groupoid")
+    for name, profile in (
+        ("core", CORE_AXIOMS),
+        ("thm1", ALL_AXIOMS),
+        ("thm2", RECOVERY_AXIOMS),
+        ("thm3", ROUND_TRIP_AXIOMS),
+    ):
+        yield verify_lrg(g, profile).render(name)
+    for axiom in sorted(GROUPOID_AXIOM_IDS):
+        yield f"{axiom} {find_counterexample(g, axiom)!r}"
+
+
+def _corrupted_corpus_lines():
+    rng = random.Random(20261020)
+    for l in enumerate_bounded_lattices(EnumerationConfig(7)):
+        if l.n == 1:
+            continue
+        bad_meet = _corrupt_meet(l, rng)
+        yield verify_lattice(bad_meet).render("corrupted meet")
+        for bound in ("bottom", "top"):
+            value = _other_value(rng, l.n, getattr(l, bound))
+            yield verify_lattice(dataclasses.replace(l, **{bound: value})).render(bound)
+        if l.n > 6:
+            continue
+        tables = list(enumerate_orthocomplements(l))
+        tables += [
+            tuple(rng.randrange(l.n) for _ in range(l.n))
+            for _ in range(RANDOM_TABLES_PER_LATTICE)
+        ]
+        for comp in tables:
+            c = OrthoCandidate(bad_meet, comp)
+            yield verify_oml(c).render("ortholattice over corrupted meet")
+            for axiom in sorted(ORTHO_AXIOM_IDS):
+                yield f"{axiom} {find_counterexample(c, axiom)!r}"
+            g = sasaki_groupoid(OrthoCandidate(l, comp), override=True)
+            yield from _groupoid_lines(_corrupt_imp(g, rng))
+
+
+def test_corrupted_law_reports_are_pinned():
+    digest = hashlib.sha256()
+    lines = 0
+    failing = 0
+    for line in _corrupted_corpus_lines():
+        digest.update(line.encode("utf-8") + b"\n")
+        lines += 1
+        failing += line.count("FAIL  ")
+    assert (lines, failing, digest.hexdigest()) == PINNED_CORRUPTED_REPORTS
+
+
 NAIVE_TRIALS = 400
 
 
@@ -178,7 +254,13 @@ def test_compiled_scans_match_naive_evaluation():
     assert 0 < witnesses < NAIVE_TRIALS * len(laws)
 
 
-FILTERED_LAWS = {"associativity", "distributivity", "left-adjointness"}
+FILTERED_LAWS = {
+    "associativity",
+    "de-morgan-join",
+    "de-morgan-meet",
+    "distributivity",
+    "left-adjointness",
+}
 MUTATIONS_PER_TABLE = 10
 
 
@@ -229,7 +311,8 @@ def _assert_scans_match(tables: dict, names: tuple[str, ...]) -> int:
 def test_compiled_scans_match_naive_evaluation_on_passing_structures():
     """Structures that pass take the equal-rows path of the row filter; one
     changed odot, imp, join or meet cell makes a late row differ, and the
-    exact innermost loop must then find the same first failing tuple."""
+    exact innermost loop must then find the same first failing tuple.  So
+    must one changed comp cell and one flipped leq cell."""
     rng = random.Random(20261019)
     sizes, late_hits = [], 0
     for c in _passing_structures():
@@ -249,29 +332,69 @@ def test_compiled_scans_match_naive_evaluation_on_passing_structures():
                 late_hits += _assert_scans_match(
                     tables | {key: _with_cell(tables[key], x, y, value)}, names
                 )
+        cells = [(n - 1, n - 1)] + [
+            (rng.randrange(n), rng.randrange(n)) for _ in range(MUTATIONS_PER_TABLE)
+        ]
+        for x, y in cells:
+            comp = list(tables["comp"])
+            comp[x] = _other_value(rng, n, comp[x])
+            late_hits += _assert_scans_match(tables | {"comp": tuple(comp)}, names)
+            leq = _with_cell(tables["leq"], x, y, not tables["leq"][x][y])
+            late_hits += _assert_scans_match(tables | {"leq": leq}, names)
     assert sizes == [1, 2, 8, 8, 12]
     assert late_hits
 
 
 def test_row_filter_covers_three_variable_equalities_only():
-    """Left adjointness, associativity and distributivity compare whole rows
-    before their innermost loop; no law with one or two variables does.  The
-    row getters are built over imp for left adjointness and over join and
-    meet for the other two, and no other law builds any."""
+    """Left adjointness, associativity, distributivity and both de Morgan laws
+    compare whole rows as bytes before their innermost loop, composing rows
+    with bytes.translate; no other law does, and no law builds getter lists.
+    Left adjointness reads leq and imp, converting imp per scan; the de
+    Morgan laws read join, meet and comp; the other two join and meet.
+    Carriers above 256 elements compile with no row check."""
     laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
-    filtered = {
-        law.id for law in laws if "continue" in _scanner(law.vars, law.holds).source
-    }
+    sources = {law.id: _scanner(law.vars, law.holds, True).source for law in laws}
+    filtered = {law_id for law_id, source in sources.items() if "continue" in source}
     assert filtered == FILTERED_LAWS
-    assert all(law.vars.count(",") == 2 for law in laws if law.id in filtered)
-    sources = {law.id: _scanner(law.vars, law.holds).source for law in laws}
-    getters = {
-        law_id: set(re.findall(r"for _r in (\w+)\]", source))
+    assert all(".translate(" in sources[law_id] for law_id in filtered)
+    assert not any("_itemgetter" in source for source in sources.values())
+    read = {
+        law_id: set(re.findall(r"\b_[bt](leq|join|meet|comp|odot|imp)\b", source))
         for law_id, source in sources.items()
-        if "_itemgetter" in source
+        if law_id in filtered
     }
-    assert getters == {
-        "left-adjointness": {"imp"},
+    assert read == {
+        "left-adjointness": {"leq", "imp"},
         "associativity": {"join", "meet"},
         "distributivity": {"join", "meet"},
+        "de-morgan-join": {"join", "meet", "comp"},
+        "de-morgan-meet": {"join", "meet", "comp"},
     }
+    assert "_bimp = [*map(bytes, imp)]" in sources["left-adjointness"]
+    assert not any(
+        "continue" in _scanner(law.vars, law.holds, False).source for law in laws
+    )
+
+
+def test_carriers_above_256_elements_keep_the_exact_loops():
+    """Bytes hold 0..255, so a 257-element chain, whose complement maps x to
+    256 - x, compiles with no row check and never converts a row to bytes
+    (bytes() would raise ValueError on 256)."""
+    n = 257
+    names = tuple(f"c{i}" for i in range(n))
+    l = lattice_from_covers(names, zip(names, names[1:]))
+    comp = tuple(n - 1 - x for x in range(n))
+    de_morgan = [law for law in ORTHOLATTICE_LAWS if law.id.startswith("de-morgan")]
+    assert len(de_morgan) == 2
+    for law in de_morgan:
+        assert first_violation(law, l, comp=comp) is None
+    bad = comp[:100] + (7,) + comp[101:]
+    tables = {
+        "leq": l.leq, "join": l.join, "meet": l.meet, "bottom": l.bottom,
+        "top": l.top, "comp": bad, "odot": None, "imp": None,
+    }
+    for law in de_morgan:
+        hit = _naive_first_violation(law, tables, n)
+        assert hit is not None
+        assert first_violation(law, l, comp=bad) == bind(law.vars, names, hit)
+    assert "_byte_mirror" not in vars(l)

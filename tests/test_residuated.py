@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import tracemalloc
 
 import pytest
@@ -26,7 +27,9 @@ from omlat import (
     enumerate_orthocomplements,
     lattice_from_covers,
     sasaki_groupoid,
+    verify_lattice,
     verify_lrg,
+    verify_oml,
 )
 
 GROUPOIDS = [sasaki_groupoid(c) for c in enumerate_omls(EnumerationConfig(6))]
@@ -118,6 +121,35 @@ class TestSharedRows:
             sasaki_groupoid(OrthoCandidate(l, comp))
         assert (repr(l), hash(l)) == before
         assert l == twin and twin == l and hash(twin) == hash(l)
+
+    def test_lattice_looks_the_same_after_its_rows_are_read_as_bytes(self):
+        l, twin = make_mo(2), make_mo(2)
+        before = (repr(l), hash(l))
+        c = OrthoCandidate(l, enumerate_orthocomplements(l)[0])
+        assert verify_lattice(l).overall and verify_oml(c).overall
+        assert verify_lrg(sasaki_groupoid(c)).overall
+        assert "_byte_mirror" in vars(l)  # the row checks built the mirror
+        assert (repr(l), hash(l)) == before
+        assert l == twin and twin == l and hash(twin) == hash(l)
+
+    def test_replaced_tables_are_read_afresh(self):
+        """A copy with one corrupted join cell fails associativity with the
+        naive witness, although the original, whose byte rows are built,
+        passed."""
+        l = make_mo(2)
+        assert verify_lattice(l).passed("associativity")
+        join = [list(row) for row in l.join]
+        join[1][2] = 3  # a v a' = 1 becomes b
+        bad = dataclasses.replace(l, join=tuple(map(tuple, join)))
+        result = verify_lattice(bad).result("associativity")
+        j, m = bad.join, bad.meet
+        x, y, z = next(
+            (x, y, z)
+            for x, y, z in itertools.product(range(l.n), repeat=3)
+            if j[j[x][y]][z] != j[x][j[y][z]] or m[m[x][y]][z] != m[x][m[y][z]]
+        )
+        assert not result.passed
+        assert result.witness == (("x", l.names[x]), ("y", l.names[y]), ("z", l.names[z]))
 
     def test_replace_starts_with_no_rows(self):
         l = make_mo(2)
