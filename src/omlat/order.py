@@ -12,11 +12,16 @@ or a product or residual table (`LrGroupoid`) over the lattice holds: a new
 row is validated once by `check_unary_table`, the one row validator (n int
 entries in 0..n-1), and a row seen before is handed back as its stored copy
 once its entries are known to be ints (identical to the stored ones, or else
-ints by type).  So the Sasaki groupoids of every complementation of one
-lattice hold one copy of each distinct row.  The stored rows live as long as
-the lattice: a caller that builds many throwaway groupoids over one lattice
-keeps their distinct rows, at most n^n of them.
+ints by type).  A `bytes` row, as the Sasaki tables are built up to 256
+elements, is looked up by its bytes: it holds ints by type, so only a new
+one is converted and validated.  So the Sasaki groupoids of every
+complementation of one lattice hold one copy of each distinct row.  The
+stored rows live as long as the lattice: a caller that builds many throwaway
+groupoids over one lattice keeps their distinct rows, at most n^n of them.
 The bool `leq` rows are never stored, since (True, False) == (1, 0).
+Up to 256 elements a lattice also keeps lazily built byte mirrors, none of
+them a field: its rows of leq, join and meet for the law scans, and the
+columns of join and meet for the Sasaki tables.
 
 Order computations work on bitmasks: `up_sets` turns the order matrix into
 up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
@@ -25,6 +30,9 @@ cover closure runs on masks, covers are the two-element intervals, and join
 and meet come from up-set (down-set) intersection: the upper bounds of x and
 y are up[x] & up[y], and x v y is the element whose up-set is exactly that.
 A poset built from masks keeps them as `FinitePoset.up`; others compute it.
+A lattice caches its down-set masks as `BoundedLattice.down`, not a field.
+`join-is-lub` and `meet-is-glb` are stated on the masks: the join of x and y
+is the upper bound in up[x] & up[y] below all the others.
 
 The one canonical form is `canonical_certificate`.  It refines the elements of
 a poset or lattice into an isomorphism-invariant partition on masks, takes the
@@ -109,6 +117,11 @@ class BoundedLattice:
     def up(self) -> tuple[int, ...]:
         return self.poset.up
 
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Down-set masks, bit x of down[y] iff x <= y; not a field, like `_rows`."""
+        return tuple(down_sets(self.up))
+
     @property
     def is_trivial(self) -> bool:
         """True for the one-element lattice (bottom equals top)."""
@@ -122,9 +135,15 @@ class BoundedLattice:
 
         A new row is checked by `check_unary_table` (n int entries in
         0..n-1) and stored; a row seen before is returned as its stored copy
-        once its entries are known to be ints.  Rows live as long as the
-        lattice.
+        once its entries are known to be ints.  A `bytes` row holds ints by
+        type and is looked up by its bytes, so only a new one is converted.
+        Rows live as long as the lattice.
         """
+        if type(row) is bytes:
+            shared = self._rows.get(row)
+            if shared is None:
+                shared = self._rows[row] = self.shared_row(tuple(row))
+            return shared
         row = tuple(row)
         try:
             shared = self._rows.get(row)
@@ -139,7 +158,7 @@ class BoundedLattice:
         return shared
 
     @cached_property
-    def _rows(self) -> dict[tuple[ElementId, ...], tuple[ElementId, ...]]:
+    def _rows(self) -> dict[tuple[ElementId, ...] | bytes, tuple[ElementId, ...]]:
         # Not a field: equality, hash, repr and dataclasses.replace never see
         # it, and it is created when the first table row is stored.
         return {}
@@ -148,6 +167,11 @@ class BoundedLattice:
     def _byte_mirror(self) -> dict[str, tuple[tuple[bytes, ...], tuple[bytes, ...]]]:
         # For the law scans' row checks (n <= 256 only); not a field, like `_rows`.
         return {t: byte_mirror(getattr(self, t)) for t in ("leq", "join", "meet")}
+
+    @cached_property
+    def _column_mirror(self) -> tuple[tuple[tuple[bytes, ...], tuple[bytes, ...]], ...]:
+        # The columns of join and meet, for the Sasaki tables (n <= 256 only).
+        return byte_mirror(zip(*self.join)), byte_mirror(zip(*self.meet))
 
 
 @dataclass(frozen=True)
@@ -281,7 +305,9 @@ def _lattice_from_up(p: FinitePoset, up: tuple[int, ...], down: list[int]) -> Bo
         join_rows.append(tuple(jrow))
         meet_rows.append(tuple(mrow))
     bottom, top = up.index(everything), down.index(everything)
-    return BoundedLattice(p, tuple(join_rows), tuple(meet_rows), bottom, top)
+    l = BoundedLattice(p, tuple(join_rows), tuple(meet_rows), bottom, top)
+    object.__setattr__(l, "down", tuple(down))
+    return l
 
 
 def lattice_from_covers(names, covers) -> BoundedLattice:
@@ -301,18 +327,20 @@ def transitive_reduction(p: FinitePoset) -> tuple[tuple[ElementId, ElementId], .
     )
 
 
+# On masks, U = up[x] & up[y] holds the upper bounds of x and y: the join is
+# one of them (bit join[x][y] of U) and below every one (U & ~up[join[x][y]]
+# is empty); the meet is the same on down-sets.
 LATTICE_LAWS = (
     Law(
         "join-is-lub",
         "x,y",
-        "leq[x][join[x][y]] and leq[y][join[x][y]]"
-        " and all(leq[join[x][y]][z] for z in N if leq[x][z] and leq[y][z])",
+        "(up[x] & up[y]) >> join[x][y] & 1 and not up[x] & up[y] & ~up[join[x][y]]",
     ),
     Law(
         "meet-is-glb",
         "x,y",
-        "leq[meet[x][y]][x] and leq[meet[x][y]][y]"
-        " and all(leq[z][meet[x][y]] for z in N if leq[z][x] and leq[z][y])",
+        "(down[x] & down[y]) >> meet[x][y] & 1"
+        " and not down[x] & down[y] & ~down[meet[x][y]]",
     ),
     Law("bounded", "x", "leq[bottom][x] and leq[x][top]"),
     Law("idempotence", "x", "join[x][x] == x and meet[x][x] == x"),

@@ -40,9 +40,9 @@ class Law:
 
     `vars` lists the scan variables, comma-separated, outermost first.
     `holds` is a Python expression over those variables and the table names
-    leq, join, meet, bottom, top, comp, odot and imp.  It is a module
-    constant of the package, never built from input.  A generator inside it
-    binds a name of its own, never a scan variable.
+    leq, join, meet, bottom, top, comp, odot and imp, and the lattice's
+    up-set and down-set masks up and down.  It is a module constant of the
+    package, never built from input.
     """
 
     id: str
@@ -52,9 +52,9 @@ class Law:
 
 
 # The tables a law indexes.  All are total: comp, odot and imp are checked on
-# construction and leq, join and meet come from lattice_from_poset, so a
-# lookup moved ahead of a short-circuit cannot raise.
-_TABLES = frozenset(("leq", "join", "meet", "comp", "odot", "imp"))
+# construction and leq, join, meet, up and down come from lattice_from_poset,
+# so a lookup moved ahead of a short-circuit cannot raise.
+_TABLES = frozenset(("leq", "join", "meet", "comp", "odot", "imp", "up", "down"))
 
 
 def byte_mirror(table) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
@@ -79,9 +79,8 @@ def _scanner(variables: str, holds: str, byte_rows: bool):
     The compiled loops run like hand-written ones: no Python call per tuple,
     and every table lookup moves to the outermost loop that binds its
     variables.  A chain such as leq[odot[x][y]] that reads only x and y
-    becomes a temporary computed once per (x, y), not once per (x, y, z);
-    inside a generator, whose own variable the scan does not bind, chains
-    free of that variable move to the innermost loop.
+    becomes a temporary computed once per (x, y), not once per (x, y, z).
+    The masks up and down are read from `lattice` only by a law naming them.
 
     With two or more variables, an innermost test that is a conjunction of
     equalities between rows indexed by the innermost variable `z` is first
@@ -101,12 +100,11 @@ def _scanner(variables: str, holds: str, byte_rows: bool):
     temps: dict[str, str] = {}  # chain source -> temporary
     chains: dict[str, ast.Subscript] = {}  # temporary -> its chain node
 
-    def measure(node) -> int | None:
-        """Innermost loop depth the node reads, or None if it reads another name."""
+    def measure(node) -> int:
+        """Innermost loop depth the node reads."""
         if isinstance(node, ast.Name):
-            return depth_of.get(node.id)
-        ds = [measure(child) for child in ast.iter_child_nodes(node)]
-        return None if None in ds else max(ds, default=0)
+            return depth_of[node.id]
+        return max(map(measure, ast.iter_child_nodes(node)), default=0)
 
     def is_chain(node) -> bool:
         """A lookup such as leq[x] or join[x][comp[y]] into one of the tables."""
@@ -118,10 +116,8 @@ def _scanner(variables: str, holds: str, byte_rows: bool):
 
     def rewrite(node, limit: int):
         """Replace each chain reading only loops above `limit` by a temporary."""
-        if isinstance(node, ast.GeneratorExp):
-            limit = len(vs) + 1
-        depth = measure(node) if is_chain(node) else None
-        hoisted = depth is not None and depth < limit
+        depth = measure(node) if is_chain(node) else limit
+        hoisted = depth < limit
         if hoisted:
             limit = depth
         for field, value in ast.iter_fields(node):
@@ -169,7 +165,11 @@ def _scanner(variables: str, holds: str, byte_rows: bool):
         inner, outer = as_bytes(index.value, "b"), as_bytes(side.value, "t")
         return inner and outer and f"{inner}.translate({outer})"  # A[B[z]]
 
-    test = rewrite(ast.parse(holds, mode="eval").body, len(vs))
+    tree = ast.parse(holds, mode="eval").body
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # the masks are read from the lattice, and only by the laws naming them
+    assigns[0] += [f"{t} = lattice.{t}" for t in ("up", "down") if t in names]
+    test = rewrite(tree, len(vs))
     if byte_rows and len(vs) >= 2:
         is_and = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
         terms = test.values if is_and else [test]

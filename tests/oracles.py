@@ -5,8 +5,11 @@ exhaustive methods, deliberately sharing no logic with the package: posets are
 generated by down-set backtracking, isomorphism classes by minimizing over
 all n! relabelings, complementations by scanning all n^n unary maps, covers
 by boolean matrix multiplication, and Boolean algebras from subset tables.
-The one exception is `reference_certificate`, a copy of the certificate's
-first design, which the package's faster one must match byte for byte.
+The exceptions are `reference_certificate`, a copy of the certificate's
+first design, which the package's faster one must match byte for byte, and
+`join_is_lub_violation` and `meet_is_glb_violation`, the first statements of
+the two bound laws, which their statements on masks must match pair for pair.
+Sasaki tables are computed cell by cell from the defining formulas.
 """
 
 from __future__ import annotations
@@ -160,6 +163,62 @@ def reference_certificate(leq, u=None) -> bytes:
     if u is not None:
         text += "|comp=" + ",".join(map(str, table))
     return text.encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# the bound laws as first stated, and the masks they are now stated on
+
+
+def order_masks(leq) -> dict[str, list[int]]:
+    """Up-set and down-set bitmasks read off an order matrix cell by cell:
+    bit j of up[i] and bit i of down[j] are set iff leq[i][j]."""
+    n = len(leq)
+    up = [sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)]
+    down = [sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)]
+    return {"up": up, "down": down}
+
+
+def join_is_lub_violation(leq, join) -> tuple[int, int] | None:
+    """First (x, y) in row-major order failing join-is-lub as first stated."""
+    N = range(len(leq))
+    for x in N:
+        for y in N:
+            if not (
+                leq[x][join[x][y]] and leq[y][join[x][y]]
+                and all(leq[join[x][y]][z] for z in N if leq[x][z] and leq[y][z])
+            ):
+                return x, y
+    return None
+
+
+def meet_is_glb_violation(leq, meet) -> tuple[int, int] | None:
+    """First (x, y) in row-major order failing meet-is-glb as first stated."""
+    N = range(len(leq))
+    for x in N:
+        for y in N:
+            if not (
+                leq[meet[x][y]][x] and leq[meet[x][y]][y]
+                and all(leq[z][meet[x][y]] for z in N if leq[z][x] and leq[z][y])
+            ):
+                return x, y
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Sasaki tables cell by cell
+
+
+def sasaki_tables(join, meet, comp):
+    """The Sasaki product x odot y = (x v y') ^ y and hook
+    x imp y = (y ^ x) v x', each cell read off the defining formula."""
+    n = len(comp)
+    odot = tuple(
+        tuple(meet[join[x][comp[y]]][y] for y in range(n)) for x in range(n)
+    )
+    imp = tuple(
+        tuple(join[meet[y][x]][comp[x]] for y in range(n)) for x in range(n)
+    )
+    return odot, imp
 
 
 # ---------------------------------------------------------------------------

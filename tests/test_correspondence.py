@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 
@@ -17,9 +18,12 @@ from omlat import (
     FinitePoset,
     HypothesisViolatedError,
     LrGroupoid,
+    AxiomResult,
     NotOrthomodularError,
     OrthoCandidate,
+    VerificationReport,
     derived_negation,
+    enumerate_bounded_lattices,
     enumerate_omls,
     enumerate_orthocomplements,
     induced_oml,
@@ -28,6 +32,7 @@ from omlat import (
     round_trip_check,
     sasaki_groupoid,
     verify_lrg,
+    verify_oml,
 )
 
 # golden MO2 operation tables, element order 0 a a' b b' 1 (36 entries each)
@@ -199,7 +204,7 @@ class TestRoundTrip:
             ):
                 monkeypatch.setattr(module, "verify_ortholattice", counted)
         round_trip_check(mo2)
-        assert len(calls) == 2  # the sasaki_groupoid gate and induced_oml
+        assert len(calls) == 1  # the sasaki_groupoid gate only
         calls.clear()
         round_trip_check(g)
         assert len(calls) == 1  # induced_oml only
@@ -207,6 +212,135 @@ class TestRoundTrip:
     def test_wrong_type(self):
         with pytest.raises(TypeError):
             round_trip_check(42)
+
+
+def _count_verify_oml(monkeypatch) -> list:
+    """The candidates the two constructions hand to verify_oml, from now on."""
+    calls, original = [], omlat.correspondence.verify_oml
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(omlat.correspondence, "verify_oml", counted)
+    return calls
+
+
+class TestOneScanPerRoundTrip:
+    """round_trip_check(c) scans the OML once, in the sasaki_groupoid gate:
+    recovering c's own stored row on c's lattice needs no second scan.  Every
+    other recovered complement is verified, with the parent's outcome."""
+
+    def test_lattice_side_scans_once(self, mo2, monkeypatch):
+        calls = _count_verify_oml(monkeypatch)
+        assert round_trip_check(mo2).overall
+        assert calls == [mo2]
+
+    def test_induced_oml_verifies_its_conclusion(self, mo2, monkeypatch):
+        g = sasaki_groupoid(mo2)
+        calls = _count_verify_oml(monkeypatch)
+        back = induced_oml(g)
+        assert calls == [back] and back.comp is mo2.comp
+
+    def test_groupoid_side_scans_once(self, mo2, monkeypatch):
+        g = sasaki_groupoid(mo2)
+        calls = _count_verify_oml(monkeypatch)
+        assert round_trip_check(g).overall
+        assert calls == [mo2]
+
+    def test_another_orthocomplement_is_verified_and_reported(self, mo2, monkeypatch):
+        other = next(t for t in enumerate_orthocomplements(mo2.lattice) if t != mo2.comp)
+        monkeypatch.setattr("omlat.correspondence.derived_negation", lambda g: other)
+        calls = _count_verify_oml(monkeypatch)
+        report = round_trip_check(mo2)
+        assert calls == [mo2, OrthoCandidate(mo2.lattice, other)]
+        x = next(x for x in range(mo2.lattice.n) if other[x] != mo2.comp[x])
+        assert report == VerificationReport((
+            AxiomResult("roundtrip-order", True),
+            AxiomResult("roundtrip-complement", False, (("x", mo2.names[x]),)),
+        ))
+
+    def test_a_row_failing_the_oml_suite_raises(self, mo2, monkeypatch):
+        identity = tuple(range(mo2.lattice.n))
+        monkeypatch.setattr("omlat.correspondence.derived_negation", lambda g: identity)
+        calls = _count_verify_oml(monkeypatch)
+        with pytest.raises(NotOrthomodularError) as info:
+            round_trip_check(mo2)
+        want = verify_oml(OrthoCandidate(mo2.lattice, identity))
+        assert info.value.report == want and not want.overall
+        failed = ", ".join(r.axiom for r in want.failures)
+        assert str(info.value) == (
+            f"induced structure is not an orthomodular lattice (failing: {failed})"
+        )
+        assert len(calls) == 2
+
+    def test_the_same_row_on_an_equal_lattice_is_verified(self, mo2, monkeypatch):
+        copy = dataclasses.replace(mo2.lattice)
+        g = sasaki_groupoid(OrthoCandidate(copy, mo2.comp))
+        monkeypatch.setattr(
+            "omlat.correspondence.sasaki_groupoid", lambda c, override=False: g
+        )
+        calls = _count_verify_oml(monkeypatch)
+        assert round_trip_check(mo2).overall
+        assert calls == [OrthoCandidate(copy, mo2.comp)]
+        assert calls[0].lattice is copy
+
+
+def _assert_matches_the_formulas(c: OrthoCandidate, override: bool) -> None:
+    l = c.lattice
+    g = sasaki_groupoid(c, override=override)
+    assert (g.odot, g.imp) == oracles.sasaki_tables(l.join, l.meet, c.comp)
+    assert all(type(v) is int for row in g.odot + g.imp for v in row)
+
+
+class TestSasakiTablesAgainstTheFormulas:
+    """The tables come from bytes.translate over the columns of join and meet
+    up to 256 elements, and from loops above; both equal the defining
+    formulas read cell by cell."""
+
+    def test_every_ortho_pair_up_to_size_8(self):
+        pairs = orthomodular = 0
+        for l in enumerate_bounded_lattices(EnumerationConfig(8)):
+            for comp in enumerate_orthocomplements(l):
+                c = OrthoCandidate(l, comp)
+                om = verify_oml(c).overall
+                _assert_matches_the_formulas(c, override=not om)
+                pairs, orthomodular = pairs + 1, orthomodular + om
+        assert pairs > orthomodular > 0
+
+    def test_every_mo5_pair(self):
+        l = make_mo(5)
+        tables = enumerate_orthocomplements(l)
+        assert len(tables) == 945
+        for comp in tables:
+            _assert_matches_the_formulas(OrthoCandidate(l, comp), override=False)
+
+    @pytest.mark.parametrize("table", ["join", "meet"])
+    def test_a_copy_with_one_non_commutative_cell(self, table):
+        """Columns are read from the transposes, and a copy's columns are
+        read afresh: the original's are built first."""
+        l = make_mo(3)
+        comp = enumerate_orthocomplements(l)[0]
+        _assert_matches_the_formulas(OrthoCandidate(l, comp), override=False)
+        assert "_column_mirror" in vars(l)
+        x, y = 1, 3  # a0 v a2 = 1 and a0 ^ a2 = 0, as are y, x
+        rows = [list(row) for row in getattr(l, table)]
+        rows[x][y] = l.names.index("a4")
+        bad = dataclasses.replace(l, **{table: tuple(map(tuple, rows))})
+        assert getattr(bad, table)[x][y] != getattr(bad, table)[y][x]
+        c = OrthoCandidate(bad, comp)
+        _assert_matches_the_formulas(c, override=True)
+        g = sasaki_groupoid(c, override=True)
+        assert (g.odot, g.imp) != oracles.sasaki_tables(l.join, l.meet, comp)
+
+    def test_mo128_takes_the_loops(self):
+        """MO128 has 258 elements: no byte row holds them, so no mirror."""
+        l = make_mo(128)
+        assert l.n == 258
+        # 0 and 1 swap, and atom a(2i) pairs with a(2i+1)
+        comp = (l.n - 1, *(x + 1 if x % 2 else x - 1 for x in range(1, l.n - 1)), 0)
+        _assert_matches_the_formulas(OrthoCandidate(l, comp), override=True)
+        assert "_column_mirror" not in vars(l) and "_byte_mirror" not in vars(l)
 
     def test_mismatch_reporting_helpers(self):
         from omlat.correspondence import _table_mismatch, _unary_mismatch

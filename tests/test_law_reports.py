@@ -22,6 +22,7 @@ import itertools
 import random
 import re
 
+import oracles
 from conftest import make_boolean, make_mo
 from omlat import (
     ALL_AXIOMS,
@@ -219,11 +220,13 @@ def _random_tables(rng: random.Random, n: int) -> dict:
 
 
 def _naive_first_violation(law, tables: dict, n: int):
-    """First tuple in row-major order where `law.holds` evaluates false."""
+    """First tuple in row-major order where `law.holds` evaluates false, with
+    the masks up and down read off `tables["leq"]`."""
     code = compile(law.holds, law.id, "eval")
     vs = law.vars.split(",")
+    scope = tables | oracles.order_masks(tables["leq"]) | {"N": range(n)}
     for elems in itertools.product(range(n), repeat=len(vs)):
-        if not eval(code, tables | {"N": range(n)} | dict(zip(vs, elems))):
+        if not eval(code, scope | dict(zip(vs, elems))):
             return elems
     return None
 
@@ -398,3 +401,75 @@ def test_carriers_above_256_elements_keep_the_exact_loops():
         assert hit is not None
         assert first_violation(law, l, comp=bad) == bind(law.vars, names, hit)
     assert "_byte_mirror" not in vars(l)
+
+
+def _assert_bound_laws_match_first_statement(l) -> int:
+    """join-is-lub and meet-is-glb on masks against their first statements;
+    the number of the two that fail."""
+    join_is_lub, meet_is_glb = LATTICE_LAWS[:2]
+    failing = 0
+    for law, hit in (
+        (join_is_lub, oracles.join_is_lub_violation(l.leq, l.join)),
+        (meet_is_glb, oracles.meet_is_glb_violation(l.leq, l.meet)),
+    ):
+        want = None if hit is None else bind(law.vars, l.names, hit)
+        assert first_violation(law, l) == want, (law.id, l)
+        failing += hit is not None
+    return failing
+
+
+def test_bound_laws_on_masks_match_their_first_statement(monkeypatch):
+    """join-is-lub and meet-is-glb read up-set and down-set masks.  On every
+    lattice that both pinned corpora check, and on copies of lattices up to
+    size 12 with one leq cell flipped, they fail at the same first pair as
+    their first statements, kept in tests/oracles.py."""
+    checked, check = [], verify_lattice
+
+    def spy(l):
+        checked.append(l)
+        return check(l)
+
+    monkeypatch.setitem(globals(), "verify_lattice", spy)
+    for _ in itertools.chain(_corpus_lines(), _corrupted_corpus_lines()):
+        pass
+    monkeypatch.undo()
+    # the 78 lattices to size 7, one corrupted join of each but the first,
+    # and a corrupted meet, bottom and top of each but the first
+    assert len(checked) == 78 + 77 + 3 * 77
+    failing = sum(map(_assert_bound_laws_match_first_statement, checked))
+    # a flipped cell goes to a copy whose masks are read afresh
+    rng = random.Random(20261021)
+    lattices = enumerate_bounded_lattices(EnumerationConfig(7))
+    lattices += [c.lattice for c in _passing_structures()]
+    flips = 0
+    for l in lattices:
+        cells = [(l.n - 1, 0)] + [
+            (rng.randrange(l.n), rng.randrange(l.n)) for _ in range(MUTATIONS_PER_TABLE)
+        ]
+        for x, y in cells:
+            leq = _with_cell(l.leq, x, y, not l.leq[x][y])
+            flipped = dataclasses.replace(l, poset=FinitePoset(l.names, leq))
+            flips += _assert_bound_laws_match_first_statement(flipped)
+    assert failing and flips
+
+
+def test_only_the_bound_laws_read_the_masks():
+    """The masks are read from the lattice by the two laws naming them and by
+    no other law; no law has a generator, and the down-sets are cached on a
+    lattice only once a law reads them."""
+    laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
+    sources = {law.id: _scanner(law.vars, law.holds, True).source for law in laws}
+    reads = {
+        law_id: re.findall(r"\b(up|down) = lattice\.\1\n", source)
+        for law_id, source in sources.items()
+    }
+    assert {law_id: masks for law_id, masks in reads.items() if masks} == {
+        "join-is-lub": ["up"],
+        "meet-is-glb": ["down"],
+    }
+    assert not any(" for " in law.holds for law in laws)
+    c = make_boolean(2)
+    l = BoundedLattice(c.lattice.poset, c.lattice.join, c.lattice.meet, 0, 3)
+    assert verify_oml(OrthoCandidate(l, c.comp)).overall
+    assert "down" not in vars(l)
+    assert verify_lattice(l).overall and l.down == c.lattice.down

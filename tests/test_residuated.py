@@ -102,6 +102,26 @@ def test_rejected_rows_are_not_stored(flaw):
     assert all(type(v) is int for table in (g.odot, g.imp) for row in table for v in row)
 
 
+@pytest.mark.parametrize("flaw", ["too short", "too long", "out of range"])
+def test_flawed_bytes_rows_rejected_and_not_stored(flaw):
+    """A bytes row holds ints by type, but its length and range are checked
+    when it is new; a rejected one is rejected again."""
+    l = lattice_from_covers(["0", "1"], [("0", "1")])
+    row = {"too short": b"\x00", "too long": b"\x00\x01\x01", "out of range": b"\x00\x02"}
+    for _ in range(2):
+        with pytest.raises(TableNotTotalError):
+            l.shared_row(row[flaw])
+
+
+def test_bytes_rows_share_the_tuple_rows():
+    l = lattice_from_covers(["0", "1"], [("0", "1")])
+    seen = l.shared_row((0, 1))
+    assert l.shared_row(b"\x00\x01") is seen
+    new = l.shared_row(b"\x01\x01")
+    assert new == (1, 1) and all(type(v) is int for v in new)
+    assert l.shared_row((1, 1)) is new and l.shared_row(b"\x01\x01") is new
+
+
 class TestSharedRows:
     def test_equal_rows_are_one_object(self):
         l = make_mo(4)
