@@ -169,6 +169,12 @@ class BoundedLattice:
         return {t: byte_mirror(getattr(self, t)) for t in ("leq", "join", "meet")}
 
     @cached_property
+    def _leq_indices(self) -> tuple[tuple[ElementId, ...], ...]:
+        # Row x: the y with leq[x][y], increasing, read off leq itself, for
+        # the guarded law scans; not a field, like `_rows`.
+        return tuple(tuple(itertools.compress(range(self.n), row)) for row in self.leq)
+
+    @cached_property
     def _column_mirror(self) -> tuple[tuple[tuple[bytes, ...], tuple[bytes, ...]], ...]:
         # The columns of join and meet, for the Sasaki tables (n <= 256 only).
         return byte_mirror(zip(*self.join)), byte_mirror(zip(*self.meet))

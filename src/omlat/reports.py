@@ -1,18 +1,25 @@
-"""Laws as data, one scan primitive, and per-axiom pass/fail reports.
+"""Laws as data, compiled law suites, and per-axiom pass/fail reports.
 
 Every axiom in the toolkit is a :class:`Law` row: an id, its variables and a
-Python expression that must hold for every tuple.  :func:`first_violation`
-scans the tuples in row-major order and returns the first failing one as a
-variable-to-element binding, which keeps witnesses deterministic and
-golden-testable.  Each law compiles once, in one pass over its expression,
-into nested loops in which every table row is looked up in the outermost loop
-that fixes it.  A law with two or more variables whose innermost test
-equates rows indexed by the innermost variable (left adjointness,
-associativity, distributivity, both de Morgan laws) first compares whole rows
-as bytes, `A[B[z]]` as `B.translate(A)` with A padded to 256 bytes, and runs
-the innermost loop only when they differ; equal rows mean every innermost
-value passes, so the first failing tuple cannot change.  Carriers above 256
-elements keep the plain loops.
+Python expression that must hold for every tuple.  A law's witness is its
+first failing tuple in row-major order, bound to element names, which keeps
+witnesses deterministic and golden-testable.  :func:`check_laws` scans a
+suite (a tuple of laws) with one function compiled once: its preamble reads
+each table and converts each row to bytes once, and each law's nested loops
+follow inline, every table row looked up in the outermost loop fixing it.
+:func:`first_violation` scans one law.  Two shortcuts keep the first failing
+tuple:
+
+- A guarded law, `not leq[a][z] or Q` with `z` innermost and `a` an outer
+  variable, loops `z` only where row `a` of `leq` holds and tests `Q`
+  alone; every skipped tuple passes the guard.  Antitony (both suites),
+  `orthomodularity` and `orthomodularity-dual` have this form.
+- A law whose innermost test equates rows indexed by the innermost variable
+  (left adjointness, associativity, distributivity, both de Morgan laws)
+  first compares whole rows as bytes, `A[B[z]]` as `B.translate(A)` with A
+  padded to 256 bytes, and loops only when they differ.  Carriers above 256
+  elements keep the plain loops.
+
 Every checker returns a :class:`VerificationReport` instead of raising on
 failure, so one run fully characterizes a structure; a passing law's result
 is one shared object.
@@ -56,6 +63,9 @@ class Law:
 # so a lookup moved ahead of a short-circuit cannot raise.
 _TABLES = frozenset(("leq", "join", "meet", "comp", "odot", "imp", "up", "down"))
 
+# What a scan reads from `lattice`; comp, odot and imp are its arguments.
+_LATTICE_READS = ("leq", "join", "meet", "bottom", "top", "up", "down")
+
 
 def byte_mirror(table) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     """A table's rows as bytes, and each padded to a 256-byte translate table."""
@@ -72,15 +82,20 @@ _BYTE_READS = {
 }
 
 
-@functools.cache
-def _scanner(variables: str, holds: str, byte_rows: bool):
-    """Compile a law once into nested loops returning its first failing tuple.
+def _law_block(variables: str, holds: str, byte_rows: bool) -> tuple[list[str], list[str], str]:
+    """One law compiled into nested loops: (reads, loops, hit).
 
-    The compiled loops run like hand-written ones: no Python call per tuple,
-    and every table lookup moves to the outermost loop that binds its
-    variables.  A chain such as leq[odot[x][y]] that reads only x and y
-    becomes a temporary computed once per (x, y), not once per (x, y, z).
-    The masks up and down are read from `lattice` only by a law naming them.
+    `reads` are the preamble lines the law needs, `loops` its loops down to
+    the innermost `if not (test):`, indented for a function body, and `hit`
+    the failing tuple to record under that `if`.  No Python call runs per
+    tuple, and every table lookup moves to the outermost loop that binds its
+    variables: leq[odot[x][y]] becomes a temporary computed once per (x, y),
+    not once per (x, y, z).  Tables, masks and guard rows are read from
+    `lattice` only by a law naming them.
+
+    A test `not leq[a][z] or Q`, with `z` innermost and `a` an outer
+    variable, loops `z` over `lattice._leq_indices[a]`, the indices where
+    row `a` of `leq` holds in increasing order, and tests `Q` alone.
 
     With two or more variables, an innermost test that is a conjunction of
     equalities between rows indexed by the innermost variable `z` is first
@@ -89,8 +104,8 @@ def _scanner(variables: str, holds: str, byte_rows: bool):
     reads `_bT[i]`, `A[B[z]]` reads `_bT[i].translate(_tU[j])`, and A or B
     may be `comp` itself; no law equates `z` itself.  The check reads no
     temporary of its own loop, so it runs before them.  Bytes hold 0..255,
-    so `byte_rows` (n <= 256) is in the cache key and larger carriers keep
-    plain loops.  The generated source is kept as the function's `source`.
+    so `byte_rows` (n <= 256) is in the cache keys and larger carriers keep
+    plain loops.
     """
     vs = variables.split(",")
     depth_of = {v: d for d, v in enumerate(vs, 1)}
@@ -166,9 +181,20 @@ def _scanner(variables: str, holds: str, byte_rows: bool):
         return inner and outer and f"{inner}.translate({outer})"  # A[B[z]]
 
     tree = ast.parse(holds, mode="eval").body
+    loops = ["N"] * len(vs)
+    # the guard loops of `not leq[a][z] or Q`, by the text of leq[a][z]
+    guards = {f"leq[{a}][{z}]": f"_leq_indices[{a}]" for a in vs[:-1]}
+    match tree:
+        case ast.BoolOp(ast.Or(), [ast.UnaryOp(ast.Not(), guard), *rest]) if (
+            ast.unparse(guard) in guards
+        ):
+            loops[-1] = guards[ast.unparse(guard)]
+            tree = rest[0] if len(rest) == 1 else ast.BoolOp(ast.Or(), rest)
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # the masks are read from the lattice, and only by the laws naming them
-    assigns[0] += [f"{t} = lattice.{t}" for t in ("up", "down") if t in names]
+    lines = ["N = range(lattice.n)"]
+    lines += [f"{t} = lattice.{t}" for t in _LATTICE_READS if t in names]
+    if loops[-1] != "N":
+        lines.append("_leq_indices = lattice._leq_indices")
     test = rewrite(tree, len(vs))
     if byte_rows and len(vs) >= 2:
         is_and = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
@@ -179,16 +205,22 @@ def _scanner(variables: str, holds: str, byte_rows: bool):
             if isinstance(t, ast.Compare) and [type(op) for op in t.ops] == [ast.Eq]
         ]
         if len(sides) == len(terms) and all(None not in pair for pair in sides):
-            assigns[0] += [_BYTE_READS[t] for t in reads]
+            lines += [_BYTE_READS[t] for t in reads]
             check = " and ".join(f"{a} == {b}" for a, b in sides)
             assigns[-2][:0] = [f"if {check}:", "    continue"]
-    lines = ["def scan(N, leq, join, meet, bottom, top, comp, odot, imp, lattice):"]
-    lines += ["    " + a for a in assigns[0]]
-    for depth, v in enumerate(vs, 1):
-        lines.append("    " * depth + f"for {v} in N:")
-        lines += ["    " * (depth + 1) + a for a in assigns[depth]]
-    lines.append("    " * (len(vs) + 1) + f"if not ({ast.unparse(test)}):")
-    lines.append("    " * (len(vs) + 2) + f"return ({', '.join(vs)},)")
+    body = ["    " + a for a in assigns[0]]
+    for depth, (v, loop) in enumerate(zip(vs, loops), 1):
+        body.append("    " * depth + f"for {v} in {loop}:")
+        body += ["    " * (depth + 1) + a for a in assigns[depth]]
+    body.append("    " * (len(vs) + 1) + f"if not ({ast.unparse(test)}):")
+    return ["    " + line for line in lines], body, f"({', '.join(vs)},)"
+
+
+_SIGNATURE = "def scan(lattice, comp=None, odot=None, imp=None):"
+
+
+def _define(lines: list[str]):
+    """The function `scan` the lines define, with its source kept as `source`."""
     source = "\n".join(lines)
     namespace: dict = {}
     exec(source, namespace)
@@ -196,16 +228,37 @@ def _scanner(variables: str, holds: str, byte_rows: bool):
     return namespace["scan"]
 
 
-def _scan_args(lattice, comp=None, odot=None, imp=None) -> tuple:
-    return (
-        range(lattice.n), lattice.leq, lattice.join, lattice.meet,
-        lattice.bottom, lattice.top, comp, odot, imp, lattice,
-    )
+@functools.cache
+def _scanner(variables: str, holds: str, byte_rows: bool):
+    """One law compiled by `_law_block`: a scan returning its first failing
+    tuple or None."""
+    reads, loops, hit = _law_block(variables, holds, byte_rows)
+    indent = "    " * (variables.count(",") + 3)
+    return _define([_SIGNATURE, *reads, *loops, f"{indent}return {hit}"])
 
 
-def _violation(law: Law, names, args: tuple) -> Witness | None:
-    hit = _scanner(law.vars, law.holds, len(names) <= 256)(*args)
-    return None if hit is None else bind(law.vars, names, hit)
+@functools.cache
+def _suite(laws: tuple[tuple[str, str], ...], byte_rows: bool):
+    """A suite of (vars, holds) pairs compiled into one scan returning each
+    law's first failing tuple or None, in order.
+
+    The preamble holds each law's reads once.  Each law's loops follow in
+    turn; its first failing tuple is stored in h<i>, and a `for ... else:
+    continue` / `break` chain leaves all of its loops at once.
+    """
+    reads: dict[str, None] = {}
+    lines = []
+    for i, (variables, holds) in enumerate(laws):
+        law_reads, loops, hit = _law_block(variables, holds, byte_rows)
+        reads.update(dict.fromkeys(law_reads))
+        depth = variables.count(",") + 1
+        lines += loops
+        lines += ["    " * (depth + 2) + f"h{i} = {hit}", "    " * (depth + 2) + "break"]
+        for d in range(depth, 1, -1):
+            lines += ["    " * d + "else:", "    " * (d + 1) + "continue", "    " * d + "break"]
+    hits = [f"h{i}" for i in range(len(laws))]
+    start, end = f"    {' = '.join(hits)} = None", f"    return {', '.join(hits)},"
+    return _define([_SIGNATURE, *reads, start, *lines, end])
 
 
 def first_violation(law: Law, lattice, **tables) -> Witness | None:
@@ -214,7 +267,8 @@ def first_violation(law: Law, lattice, **tables) -> Witness | None:
     The lattice supplies leq, join, meet, bottom and top; `tables` supplies
     any of comp, odot and imp that the law reads.
     """
-    return _violation(law, lattice.names, _scan_args(lattice, **tables))
+    hit = _scanner(law.vars, law.holds, lattice.n <= 256)(lattice, **tables)
+    return None if hit is None else bind(law.vars, lattice.names, hit)
 
 
 @functools.cache
@@ -223,22 +277,30 @@ def _passing(axiom: str, note: str) -> AxiomResult:
     return AxiomResult(axiom, True, None, note)
 
 
-def check_laws(laws, lattice, **tables) -> list[AxiomResult]:
+# (id(laws), byte_rows) -> (laws, compiled suite, passing results)
+_SUITES: dict[tuple[int, bool], tuple] = {}
+
+
+def check_laws(laws: tuple[Law, ...], lattice, **tables) -> list[AxiomResult]:
     """One result per law, in the given order.
 
-    A passing law gets its one shared result; a failing law a new one
-    carrying its witness.
+    `laws` is a tuple that lives as long as the program, such as a module
+    constant: its compiled suite is found by the tuple's identity, so no
+    call hashes a `Law`, and the cache keeps the tuple.  A passing law gets
+    its one shared result; a failing law a new one carrying its witness.
     """
-    names, args = lattice.names, _scan_args(lattice, **tables)
-    results = []
-    for law in laws:
-        witness = _violation(law, names, args)
-        results.append(
-            _passing(law.id, law.note)
-            if witness is None
-            else AxiomResult(law.id, False, witness, law.note)
-        )
-    return results
+    key = (id(laws), lattice.n <= 256)
+    entry = _SUITES.get(key)
+    if entry is None or entry[0] is not laws:
+        texts = tuple((law.vars, law.holds) for law in laws)
+        passing = tuple(_passing(law.id, law.note) for law in laws)
+        entry = _SUITES[key] = (laws, _suite(texts, key[1]), passing)
+    _, scan, passing = entry
+    names = lattice.names
+    return [
+        ok if hit is None else AxiomResult(law.id, False, bind(law.vars, names, hit), law.note)
+        for law, ok, hit in zip(laws, passing, scan(lattice, **tables))
+    ]
 
 
 def format_witness(witness: Witness | None) -> str:

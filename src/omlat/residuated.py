@@ -12,6 +12,7 @@ name the paper's hypothesis sets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import TableNotTotalError, UnknownAxiomIdError
@@ -81,7 +82,7 @@ ROUND_TRIP_AXIOMS = RECOVERY_AXIOMS + ("sasaki-hook",)
 def derived_negation(g: LrGroupoid) -> UnaryTable:
     """The map x -> (x imp bottom), the negation induced by the residual."""
     bottom = g.lattice.bottom
-    return tuple(g.imp[x][bottom] for x in range(g.lattice.n))
+    return tuple([row[bottom] for row in g.imp])
 
 
 def verify_lrg(g: LrGroupoid, profile: tuple[str, ...] = ALL_AXIOMS) -> VerificationReport:
@@ -91,12 +92,17 @@ def verify_lrg(g: LrGroupoid, profile: tuple[str, ...] = ALL_AXIOMS) -> Verifica
     biconditional: (x odot y) <= z iff x <= (y imp z).  An empty profile
     raises ValueError and an unknown id raises UnknownAxiomIdError.
     """
+    laws = _profile_laws(tuple(profile))
+    results = check_laws(laws, g.lattice, comp=derived_negation(g), odot=g.odot, imp=g.imp)
+    return VerificationReport(tuple(results))
+
+
+@functools.cache
+def _profile_laws(profile: tuple[str, ...]) -> tuple[Law, ...]:
+    """The laws a profile names, in GROUPOID_LAWS order: one tuple per profile."""
     if not profile:
         raise ValueError("a profile must name at least one axiom")
     unknown = sorted(set(profile).difference(ALL_AXIOMS))
     if unknown:
         raise UnknownAxiomIdError(f"unknown axiom id {unknown[0]!r} for a groupoid")
-    laws = [law for law in GROUPOID_LAWS if law.id in profile]
-    return VerificationReport(
-        tuple(check_laws(laws, g.lattice, comp=derived_negation(g), odot=g.odot, imp=g.imp))
-    )
+    return tuple(law for law in GROUPOID_LAWS if law.id in profile)

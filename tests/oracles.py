@@ -9,7 +9,10 @@ The exceptions are `reference_certificate`, a copy of the certificate's
 first design, which the package's faster one must match byte for byte, and
 `join_is_lub_violation` and `meet_is_glb_violation`, the first statements of
 the two bound laws, which their statements on masks must match pair for pair.
-Sasaki tables are computed cell by cell from the defining formulas.
+Sasaki tables are computed cell by cell from the defining formulas, and
+orthomodularity is checked by searching for the benzene ring O6.
+`random_law_text` draws seeded law texts for a differential fuzz of the law
+compiler.
 """
 
 from __future__ import annotations
@@ -290,3 +293,120 @@ def boolean_tables(k: int):
     odot = [[x & y for y in range(n)] for x in range(n)]
     imp = [[(full & ~x) | y for y in range(n)] for x in range(n)]
     return names, leq, join, meet, comp, odot, imp
+
+
+# ---------------------------------------------------------------------------
+# the benzene ring O6 as a sub-ortholattice
+
+
+def has_o6(leq, join, meet, comp, bottom: int, top: int) -> bool:
+    """True iff some x < y with x != 0, y != 1, x != y', x v y' = 1 and
+    y ^ x' = 0: then {0, x, y, y', x', 1} is a sub-ortholattice isomorphic
+    to O6, and an ortholattice is orthomodular iff it has none (Kalmbach,
+    *Orthomodular Lattices*, 1983)."""
+    N = range(len(comp))
+    return any(
+        leq[x][y] and x != y and x != bottom and y != top and x != comp[y]
+        and join[x][comp[y]] == top and meet[y][comp[x]] == bottom
+        for x in N
+        for y in N
+    )
+
+
+# ---------------------------------------------------------------------------
+# random law texts for a differential fuzz of the law compiler
+
+
+def random_order(rng, n: int) -> tuple[tuple[bool, ...], ...]:
+    """A random partial order on n points: random pairs along a random linear
+    order, closed transitively."""
+    N = range(n)
+    rank, density = rng.sample(N, n), rng.random()
+    leq = [[x == y or (rank[x] < rank[y] and rng.random() < density) for y in N] for x in N]
+    for k in N:
+        for x in N:
+            if leq[x][k]:
+                leq[x] = [a or b for a, b in zip(leq[x], leq[k])]
+    return tuple(map(tuple, leq))
+
+
+def _term(rng, vs: list[str], depth: int) -> str:
+    """A random element term: a variable, bottom, top, comp[t] or T[t][t]."""
+    r = rng.random()
+    if depth == 0 or r < 0.35:
+        return rng.choice(("bottom", "top")) if rng.random() < 0.15 else rng.choice(vs)
+    if r < 0.5:
+        return f"comp[{_term(rng, vs, depth - 1)}]"
+    table = rng.choice(("join", "meet", "odot", "imp"))
+    return f"{table}[{_term(rng, vs, depth - 1)}][{_term(rng, vs, depth - 1)}]"
+
+
+def _formula(rng, vs: list[str], depth: int) -> str:
+    """A random test from ==, leq[t][t], and, or and not."""
+    r = rng.random()
+    if depth == 0 or r < 0.5:
+        a, b = _term(rng, vs, rng.randint(0, 2)), _term(rng, vs, rng.randint(0, 2))
+        return f"{a} == {b}" if rng.random() < 0.6 else f"leq[{a}][{b}]"
+    if r < 0.55:
+        return f"not ({_formula(rng, vs, depth - 1)})"
+    op = rng.choice(("and", "or"))
+    return f"({_formula(rng, vs, depth - 1)}) {op} ({_formula(rng, vs, depth - 1)})"
+
+
+def _guarded(rng, vs: list[str]) -> str:
+    """`not leq[a][z] or Q`, with z innermost and a outer, or a near miss: the
+    guard reversed, not first, on a variable that is not innermost, without
+    `not`, or followed by two disjuncts."""
+    z, a = vs[-1], rng.choice(vs[:-1])
+    guard, q = f"not leq[{a}][{z}]", _formula(rng, vs, 2)
+    variant = rng.randrange(6)
+    if variant == 1:
+        guard = f"not leq[{z}][{a}]"
+    elif variant == 2:
+        return f"({q}) or {guard}"
+    elif variant == 3 and len(vs) == 3:
+        guard = "not leq[x][y]"
+    elif variant == 4:
+        guard = f"leq[{a}][{z}]"
+    elif variant == 5:
+        return f"{guard} or ({q}) or ({_formula(rng, vs, 1)})"
+    return f"{guard} or ({q})"
+
+
+def _row_equalities(rng, vs: list[str]) -> str:
+    """Equalities between rows indexed by the innermost variable z, as the
+    row check reads them: R[z] and A[B[z]], with A or B a table row at outer
+    terms or comp, and now and then A[B[w]] with w an outer variable."""
+    z, outer = vs[-1], vs[:-1]
+
+    def row(tables=("join", "meet", "odot", "imp")) -> str:
+        return f"{rng.choice(tables)}[{_term(rng, outer, 1)}]"
+
+    def side() -> str:
+        if rng.random() < 0.4:
+            return f"{row(('leq', 'join', 'meet', 'odot', 'imp'))}[{z}]"
+        # leq rows hold bools, so they index nothing
+        inner = "comp" if rng.random() < 0.3 else row()
+        a = "comp" if rng.random() < 0.3 else row(("leq", "join", "meet", "odot", "imp"))
+        w = z if rng.random() < 0.85 else rng.choice(outer)
+        return f"{a}[{inner}[{w}]]"
+
+    return " and ".join(f"{side()} == {side()}" for _ in range(rng.randint(1, 3)))
+
+
+def random_law_text(rng, shape: str) -> tuple[str, str]:
+    """A seeded random law as (vars, holds) over x, y and z.
+
+    "plain" draws any test over leq, join, meet, comp, odot, imp, bottom and
+    top with ==, and, or and not; "guard" draws the guard shape and its near
+    misses; "rows" draws the row-check shapes.  The last two take two or
+    three variables.
+    """
+    vs = ["x", "y", "z"][: rng.randint(1 if shape == "plain" else 2, 3)]
+    if shape == "guard":
+        holds = _guarded(rng, vs)
+    elif shape == "rows":
+        holds = _row_equalities(rng, vs)
+    else:
+        holds = _formula(rng, vs, 2)
+    return ",".join(vs), holds

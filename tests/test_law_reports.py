@@ -46,8 +46,8 @@ from omlat import (
     verify_ortholattice,
 )
 from omlat.order import LATTICE_LAWS, BoundedLattice, FinitePoset, lattice_from_covers
-from omlat.ortho import ORTHO_LAWS, ORTHOLATTICE_LAWS
-from omlat.reports import _scanner, bind, first_violation
+from omlat.ortho import ORTHO_LAWS, ORTHOLATTICE_LAWS, ORTHOMODULAR_LAWS
+from omlat.reports import Law, _scanner, _suite, bind, check_laws, first_violation
 from omlat.residuated import GROUPOID_LAWS
 
 PINNED_REPORTS = (
@@ -403,6 +403,103 @@ def test_carriers_above_256_elements_keep_the_exact_loops():
     assert "_byte_mirror" not in vars(l)
 
 
+GUARDED_LAWS = {"antitony", "orthomodularity", "orthomodularity-dual"}
+
+
+def test_only_the_guarded_laws_loop_over_guard_rows():
+    """Antitony (in both suites), orthomodularity and orthomodularity-dual
+    loop their innermost variable over the rows of `_leq_indices`, in the
+    one-law scans and in every compiled suite; no other law reads them."""
+    laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
+    for byte_rows in (True, False):
+        guarded = [
+            law.id
+            for law in laws
+            if "for y in _leq_indices[x]:" in _scanner(law.vars, law.holds, byte_rows).source
+        ]
+        assert sorted(guarded) == sorted(["antitony", "antitony", *GUARDED_LAWS - {"antitony"}])
+        for suite in (LATTICE_LAWS, ORTHOLATTICE_LAWS, ORTHOMODULAR_LAWS, GROUPOID_LAWS):
+            source = _suite(tuple((law.vars, law.holds) for law in suite), byte_rows).source
+            want = sum(law.id in GUARDED_LAWS for law in suite)
+            assert source.count("in _leq_indices[") == want
+            assert ("_leq_indices = lattice._leq_indices" in source) == (want > 0)
+
+
+def test_guarded_laws_on_a_257_element_chain():
+    """On the 257-element chain, with comp x -> 256 - x and one corrupted
+    comp cell, antitony and both orthomodular laws take the loop path (no
+    byte rows) and fail at the first tuple that evaluating them finds."""
+    n = 257
+    names = tuple(f"c{i}" for i in range(n))
+    l = lattice_from_covers(names, zip(names, names[1:]))
+    comp = tuple(n - 1 - x for x in range(n))
+    bad = comp[:100] + (7,) + comp[101:]
+    tables = {
+        "leq": l.leq, "join": l.join, "meet": l.meet, "bottom": l.bottom,
+        "top": l.top, "comp": bad, "odot": None, "imp": None,
+    }
+    suites = {law.id: suite for suite in (ORTHOLATTICE_LAWS, ORTHOMODULAR_LAWS) for law in suite}
+    assert set(suites) >= GUARDED_LAWS
+    for law_id in sorted(GUARDED_LAWS):
+        suite = suites[law_id]
+        law = next(law for law in suite if law.id == law_id)
+        hit = _naive_first_violation(law, tables, n)
+        assert hit is not None
+        want = bind(law.vars, names, hit)
+        assert first_violation(law, l, comp=bad) == want
+        assert next(r for r in check_laws(suite, l, comp=bad) if r.axiom == law_id).witness == want
+    assert "_byte_mirror" not in vars(l)
+
+
+FUZZ_TRIALS = 160
+
+
+def test_compiled_suites_match_naive_evaluation_on_random_law_texts():
+    """A differential fuzz of the law compiler.  Each trial draws four law
+    texts (oracles.random_law_text: plain, guard-shaped with its near misses,
+    or row-check shaped) and total tables on 1-5 elements, with `leq` a
+    random bool table in half the trials and a partial order in the rest.
+    Each text is compiled alone and a random suite of 2-4 of them as one
+    scan, with and without byte rows: 160 trials, 1,280 one-law scans and
+    320 suites, every first failing tuple against row-major evaluation."""
+    rng = random.Random(20261022)
+    scans = guarded = filtered = witnesses = 0
+    for trial in range(FUZZ_TRIALS):
+        n = rng.randint(1, 5)
+        tables = _random_tables(rng, n)
+        if trial % 2:
+            tables["leq"] = oracles.random_order(rng, n)
+        names = tuple(f"e{i}" for i in range(n))
+        lattice = BoundedLattice(
+            FinitePoset(names, tables["leq"]),
+            tables["join"],
+            tables["meet"],
+            tables["bottom"],
+            tables["top"],
+        )
+        ops = {k: tables[k] for k in ("comp", "odot", "imp")}
+        texts = [
+            oracles.random_law_text(rng, rng.choice(("plain", "guard", "rows")))
+            for _ in range(4)
+        ]
+        want = [_naive_first_violation(Law("fuzz", *text), tables, n) for text in texts]
+        witnesses += sum(hit is not None for hit in want)
+        for byte_rows in (True, False):
+            for text, hit in zip(texts, want):
+                scan = _scanner.__wrapped__(*text, byte_rows)
+                assert scan(lattice, **ops) == hit, (text, tables)
+                scans += 1
+                guarded += "in _leq_indices[" in scan.source
+                filtered += ".translate(" in scan.source
+            picks = rng.sample(range(4), rng.randint(2, 4))
+            suite = _suite.__wrapped__(tuple(texts[i] for i in picks), byte_rows)
+            got = suite(lattice, **ops)
+            assert got == tuple(want[i] for i in picks), ([texts[i] for i in picks], tables)
+    assert scans == 2 * 4 * FUZZ_TRIALS
+    # every path runs: 160 guard loops, 75 row checks, 460 of 640 texts failing
+    assert guarded > 80 and filtered > 40 and 0 < witnesses < 4 * FUZZ_TRIALS
+
+
 def _assert_bound_laws_match_first_statement(l) -> int:
     """join-is-lub and meet-is-glb on masks against their first statements;
     the number of the two that fail."""
@@ -451,6 +548,45 @@ def test_bound_laws_on_masks_match_their_first_statement(monkeypatch):
             flipped = dataclasses.replace(l, poset=FinitePoset(l.names, leq))
             flips += _assert_bound_laws_match_first_statement(flipped)
     assert failing and flips
+
+
+def test_no_benzene_ring_iff_orthomodular(monkeypatch):
+    """An ortholattice is orthomodular iff it has no sub-ortholattice O6.
+    The search for one (oracles.has_o6) shares no code with the law rows,
+    and "no O6" is the verify_oml verdict on every ortho pair up to size 8,
+    on all 945 of MO5's complementations, and on every candidate of both
+    pinned corpora whose lattice and ortholattice suites pass."""
+    seen = []
+    for name in ("verify_ortholattice", "verify_oml"):
+        check = globals()[name]
+        monkeypatch.setitem(globals(), name, lambda c, check=check: seen.append(c) or check(c))
+    for _ in itertools.chain(_corpus_lines(), _corrupted_corpus_lines()):
+        pass
+    monkeypatch.undo()
+    corpus = [
+        c for c in seen if verify_lattice(c.lattice).overall and verify_ortholattice(c).overall
+    ]
+    pairs = [
+        OrthoCandidate(l, comp)
+        for l in enumerate_bounded_lattices(EnumerationConfig(8))
+        for comp in enumerate_orthocomplements(l)
+    ]
+    mo5 = make_mo(5)
+    mo5_pairs = [OrthoCandidate(mo5, comp) for comp in enumerate_orthocomplements(mo5)]
+    assert len(mo5_pairs) == 945
+    verdicts = {}
+    for part, candidates in (("corpus", corpus), ("pairs", pairs), ("MO5", mo5_pairs)):
+        for c in candidates:
+            l = c.lattice
+            o6 = oracles.has_o6(l.leq, l.join, l.meet, c.comp, l.bottom, l.top)
+            assert o6 != verify_oml(c).overall, (part, c)
+            verdicts[part, o6] = verdicts.get((part, o6), 0) + 1
+    # (part, has O6) -> candidates; the corpora hold 13 OMLs and O6 itself
+    assert verdicts == {
+        ("corpus", False): 13, ("corpus", True): 1,
+        ("pairs", False): 22, ("pairs", True): 5,
+        ("MO5", False): 945,
+    }
 
 
 def test_only_the_bound_laws_read_the_masks():
