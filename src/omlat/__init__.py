@@ -2,9 +2,9 @@
 two-way Sasaki correspondence between them.
 
 The toolkit is exhaustive by design: structures are dense tables over carriers
-of at most a dozen elements, every axiom check is a full scan returning a
-per-axiom report with concrete witnesses, and small structures can be
-enumerated up to isomorphism for corpus-wide verification.
+of at most MAX_CARRIER_SIZE = 256 elements, every axiom check is a full scan
+returning a per-axiom report with concrete witnesses, and small structures can
+be enumerated up to isomorphism for corpus-wide verification.
 """
 
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     UnknownElementError,
 )
 from .order import (
+    MAX_CARRIER_SIZE,
     BoundedLattice,
     CanonicalCertificate,
     ElementId,
@@ -83,6 +84,7 @@ __all__ = [
     "GROUPOID_AXIOM_IDS",
     "HypothesisViolatedError",
     "LrGroupoid",
+    "MAX_CARRIER_SIZE",
     "MAX_ENUMERATION_SIZE",
     "NotALatticeError",
     "NotBoundedError",

@@ -7,12 +7,12 @@ derived negation x imp 0.  round_trip_check verifies that composing the two
 reproduces the original structure bit-exactly, table by table, not merely up
 to isomorphism: both constructions keep the carrier fixed.
 
-Up to 256 elements the Sasaki tables are bytes rows composed with
-bytes.translate from the lattice's column mirror of join and meet, and the
-lattice interns them by their bytes; above, plain loops build them.  A round
-trip scans the orthomodular lattice once: from a lattice, the Sasaki gate has
-just verified it, so recovering its own stored row on its own lattice is not
-verified again, while any other recovered row is.
+The Sasaki tables are bytes rows composed with bytes.translate from the
+lattice's column mirror of join and meet, and the lattice interns them by
+their bytes.  A round trip scans the orthomodular lattice once: from a
+lattice, the Sasaki gate has just verified it, so recovering its own stored
+row on its own lattice is not verified again, while any other recovered row
+is.
 """
 
 from __future__ import annotations
@@ -45,26 +45,13 @@ def sasaki_groupoid(c: OrthoCandidate, override: bool = False) -> LrGroupoid:
                 report=report,
             )
     l, comp, n = c.lattice, c.comp, c.lattice.n
-    if n <= 256:
-        # Bytes rows of the transposed tables: column y of odot is column
-        # comp[y] of join translated through column y of meet, and row x of
-        # imp is column x of meet translated through column comp[x] of join.
-        (join_cols, join_tr), (meet_cols, meet_tr) = l._column_mirror
-        flat = b"".join([join_cols[cy].translate(meet_tr[y]) for y, cy in enumerate(comp)])
-        odot = [flat[x::n] for x in range(n)]
-        imp = [meet_cols[x].translate(join_tr[cx]) for x, cx in enumerate(comp)]
-    else:
-        join, meet = l.join, l.meet
-        # odot[x][y] = meet[join[x][comp[y]]][y], one row of join per x
-        odot = tuple(
-            tuple([meet[jx[cy]][y] for y, cy in enumerate(comp)]) for jx in join
-        )
-        # imp[x][y] = join[meet[y][x]][comp[x]] reads column x of meet and
-        # column comp[x] of join: take them as rows of the transposed tables
-        join_cols, meet_cols = tuple(zip(*join)), tuple(zip(*meet))
-        imp = tuple(
-            tuple([join_cols[cx][m] for m in meet_cols[x]]) for x, cx in enumerate(comp)
-        )
+    # Bytes rows of the transposed tables: column y of odot is column comp[y]
+    # of join translated through column y of meet, and row x of imp is
+    # column x of meet translated through column comp[x] of join.
+    (join_cols, join_tr), (meet_cols, meet_tr) = l._column_mirror
+    flat = b"".join([join_cols[cy].translate(meet_tr[y]) for y, cy in enumerate(comp)])
+    odot = [flat[x::n] for x in range(n)]
+    imp = [meet_cols[x].translate(join_tr[cx]) for x, cx in enumerate(comp)]
     return LrGroupoid(l, odot, imp)
 
 

@@ -12,16 +12,21 @@ or a product or residual table (`LrGroupoid`) over the lattice holds: a new
 row is validated once by `check_unary_table`, the one row validator (n int
 entries in 0..n-1), and a row seen before is handed back as its stored copy
 once its entries are known to be ints (identical to the stored ones, or else
-ints by type).  A `bytes` row, as the Sasaki tables are built up to 256
-elements, is looked up by its bytes: it holds ints by type, so only a new
-one is converted and validated.  So the Sasaki groupoids of every
-complementation of one lattice hold one copy of each distinct row.  The
-stored rows live as long as the lattice: a caller that builds many throwaway
-groupoids over one lattice keeps their distinct rows, at most n^n of them.
+ints by type).  A `bytes` row, as the Sasaki tables are built, is looked up
+by its bytes: it holds ints by type, so only a new one is converted and
+validated.  So the Sasaki groupoids of every complementation of one lattice
+hold one copy of each distinct row.  The stored rows live as long as the
+lattice: a caller that builds many throwaway groupoids over one lattice
+keeps their distinct rows, at most n^n of them.
 The bool `leq` rows are never stored, since (True, False) == (1, 0).
-Up to 256 elements a lattice also keeps lazily built byte mirrors, none of
-them a field: its rows of leq, join and meet for the law scans, and the
-columns of join and meet for the Sasaki tables.
+A lattice also keeps lazily built byte mirrors, none of them a field: its
+rows of leq, join and meet for the law scans, and the columns of join and
+meet for the Sasaki tables.
+
+Carriers hold at most MAX_CARRIER_SIZE = 256 elements, so every element id
+fits in a byte.  `_closure` refuses a larger carrier before any mask work,
+and a `BoundedLattice` built directly refuses one too, both with
+SizeLimitExceededError.
 
 Order computations work on bitmasks: `up_sets` turns the order matrix into
 up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
@@ -63,6 +68,9 @@ from .reports import Law, VerificationReport, byte_mirror, check_laws
 
 ElementId = int
 
+# Element ids fit in a byte: the law scans and Sasaki tables use bytes.translate.
+MAX_CARRIER_SIZE = 256
+
 # The certificate refuses structures whose refinement cells allow more than
 # 8! permutations, counted before twins are collapsed.
 _MAX_RELABELINGS = factorial(8)
@@ -100,6 +108,9 @@ class BoundedLattice:
     meet: tuple[tuple[ElementId, ...], ...]
     bottom: ElementId
     top: ElementId
+
+    def __post_init__(self) -> None:
+        _check_carrier_size(self.poset.n)
 
     @property
     def n(self) -> int:
@@ -165,7 +176,7 @@ class BoundedLattice:
 
     @cached_property
     def _byte_mirror(self) -> dict[str, tuple[tuple[bytes, ...], tuple[bytes, ...]]]:
-        # For the law scans' row checks (n <= 256 only); not a field, like `_rows`.
+        # For the law scans' row checks; not a field, like `_rows`.
         return {t: byte_mirror(getattr(self, t)) for t in ("leq", "join", "meet")}
 
     @cached_property
@@ -176,7 +187,7 @@ class BoundedLattice:
 
     @cached_property
     def _column_mirror(self) -> tuple[tuple[tuple[bytes, ...], tuple[bytes, ...]], ...]:
-        # The columns of join and meet, for the Sasaki tables (n <= 256 only).
+        # The columns of join and meet, for the Sasaki tables.
         return byte_mirror(zip(*self.join)), byte_mirror(zip(*self.meet))
 
 
@@ -208,9 +219,18 @@ def check_unary_table(n: int, u) -> tuple[ElementId, ...]:
     return u
 
 
+def _check_carrier_size(n: int) -> None:
+    """Raise SizeLimitExceededError for more than MAX_CARRIER_SIZE elements."""
+    if n > MAX_CARRIER_SIZE:
+        raise SizeLimitExceededError(
+            f"carrier has {n} elements, the limit is {MAX_CARRIER_SIZE}"
+        )
+
+
 def _closure(names, covers) -> tuple[tuple[str, ...], tuple[int, ...], list[int]]:
     """Validated names and the up-set and down-set masks of the cover closure."""
     names = tuple(names)
+    _check_carrier_size(len(names))
     seen: set[str] = set()
     for name in names:
         if not name:
@@ -247,8 +267,9 @@ def _closure(names, covers) -> tuple[tuple[str, ...], tuple[int, ...], list[int]
 def poset_from_covers(names, covers) -> FinitePoset:
     """Build the reflexive-transitive closure of a cover relation.
 
-    `covers` is an iterable of (lower, upper) name pairs.  Rejects duplicate
-    or empty names, unknown cover endpoints, and cyclic input.
+    `covers` is an iterable of (lower, upper) name pairs.  Rejects more than
+    MAX_CARRIER_SIZE names, duplicate or empty names, unknown cover
+    endpoints, and cyclic input.
     """
     names, up, _ = _closure(names, covers)
     return _poset_from_up(names, up)

@@ -7,8 +7,8 @@ witnesses deterministic and golden-testable.  :func:`check_laws` scans a
 suite (a tuple of laws) with one function compiled once: its preamble reads
 each table and converts each row to bytes once, and each law's nested loops
 follow inline, every table row looked up in the outermost loop fixing it.
-:func:`first_violation` scans one law.  Two shortcuts keep the first failing
-tuple:
+:func:`first_violation` scans one law as a suite of one.  Two shortcuts keep
+the first failing tuple:
 
 - A guarded law, `not leq[a][z] or Q` with `z` innermost and `a` an outer
   variable, loops `z` only where row `a` of `leq` holds and tests `Q`
@@ -17,8 +17,8 @@ tuple:
 - A law whose innermost test equates rows indexed by the innermost variable
   (left adjointness, associativity, distributivity, both de Morgan laws)
   first compares whole rows as bytes, `A[B[z]]` as `B.translate(A)` with A
-  padded to 256 bytes, and loops only when they differ.  Carriers above 256
-  elements keep the plain loops.
+  padded to 256 bytes, and loops only when they differ.  Element ids are
+  bytes, since carriers hold at most 256 elements (`order.MAX_CARRIER_SIZE`).
 
 Every checker returns a :class:`VerificationReport` instead of raising on
 failure, so one run fully characterizes a structure; a passing law's result
@@ -82,7 +82,7 @@ _BYTE_READS = {
 }
 
 
-def _law_block(variables: str, holds: str, byte_rows: bool) -> tuple[list[str], list[str], str]:
+def _law_block(variables: str, holds: str) -> tuple[list[str], list[str], str]:
     """One law compiled into nested loops: (reads, loops, hit).
 
     `reads` are the preamble lines the law needs, `loops` its loops down to
@@ -103,9 +103,7 @@ def _law_block(variables: str, holds: str, byte_rows: bool) -> tuple[list[str], 
     since every `z` passes: `R[z]` (R a temporary holding row i of table T)
     reads `_bT[i]`, `A[B[z]]` reads `_bT[i].translate(_tU[j])`, and A or B
     may be `comp` itself; no law equates `z` itself.  The check reads no
-    temporary of its own loop, so it runs before them.  Bytes hold 0..255,
-    so `byte_rows` (n <= 256) is in the cache keys and larger carriers keep
-    plain loops.
+    temporary of its own loop, so it runs before them.
     """
     vs = variables.split(",")
     depth_of = {v: d for d, v in enumerate(vs, 1)}
@@ -196,7 +194,7 @@ def _law_block(variables: str, holds: str, byte_rows: bool) -> tuple[list[str], 
     if loops[-1] != "N":
         lines.append("_leq_indices = lattice._leq_indices")
     test = rewrite(tree, len(vs))
-    if byte_rows and len(vs) >= 2:
+    if len(vs) >= 2:
         is_and = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
         terms = test.values if is_and else [test]
         sides = [
@@ -216,31 +214,11 @@ def _law_block(variables: str, holds: str, byte_rows: bool) -> tuple[list[str], 
     return ["    " + line for line in lines], body, f"({', '.join(vs)},)"
 
 
-_SIGNATURE = "def scan(lattice, comp=None, odot=None, imp=None):"
-
-
-def _define(lines: list[str]):
-    """The function `scan` the lines define, with its source kept as `source`."""
-    source = "\n".join(lines)
-    namespace: dict = {}
-    exec(source, namespace)
-    namespace["scan"].source = source
-    return namespace["scan"]
-
-
 @functools.cache
-def _scanner(variables: str, holds: str, byte_rows: bool):
-    """One law compiled by `_law_block`: a scan returning its first failing
-    tuple or None."""
-    reads, loops, hit = _law_block(variables, holds, byte_rows)
-    indent = "    " * (variables.count(",") + 3)
-    return _define([_SIGNATURE, *reads, *loops, f"{indent}return {hit}"])
-
-
-@functools.cache
-def _suite(laws: tuple[tuple[str, str], ...], byte_rows: bool):
+def _suite(laws: tuple[tuple[str, str], ...]):
     """A suite of (vars, holds) pairs compiled into one scan returning each
-    law's first failing tuple or None, in order.
+    law's first failing tuple or None, in order, with its source kept as
+    `source`.
 
     The preamble holds each law's reads once.  Each law's loops follow in
     turn; its first failing tuple is stored in h<i>, and a `for ... else:
@@ -249,7 +227,7 @@ def _suite(laws: tuple[tuple[str, str], ...], byte_rows: bool):
     reads: dict[str, None] = {}
     lines = []
     for i, (variables, holds) in enumerate(laws):
-        law_reads, loops, hit = _law_block(variables, holds, byte_rows)
+        law_reads, loops, hit = _law_block(variables, holds)
         reads.update(dict.fromkeys(law_reads))
         depth = variables.count(",") + 1
         lines += loops
@@ -257,8 +235,17 @@ def _suite(laws: tuple[tuple[str, str], ...], byte_rows: bool):
         for d in range(depth, 1, -1):
             lines += ["    " * d + "else:", "    " * (d + 1) + "continue", "    " * d + "break"]
     hits = [f"h{i}" for i in range(len(laws))]
-    start, end = f"    {' = '.join(hits)} = None", f"    return {', '.join(hits)},"
-    return _define([_SIGNATURE, *reads, start, *lines, end])
+    source = "\n".join([
+        "def scan(lattice, comp=None, odot=None, imp=None):",
+        *reads,
+        f"    {' = '.join(hits)} = None",
+        *lines,
+        f"    return {', '.join(hits)},",
+    ])
+    namespace: dict = {}
+    exec(source, namespace)
+    namespace["scan"].source = source
+    return namespace["scan"]
 
 
 def first_violation(law: Law, lattice, **tables) -> Witness | None:
@@ -267,7 +254,7 @@ def first_violation(law: Law, lattice, **tables) -> Witness | None:
     The lattice supplies leq, join, meet, bottom and top; `tables` supplies
     any of comp, odot and imp that the law reads.
     """
-    hit = _scanner(law.vars, law.holds, lattice.n <= 256)(lattice, **tables)
+    (hit,) = _suite(((law.vars, law.holds),))(lattice, **tables)
     return None if hit is None else bind(law.vars, lattice.names, hit)
 
 
@@ -277,8 +264,8 @@ def _passing(axiom: str, note: str) -> AxiomResult:
     return AxiomResult(axiom, True, None, note)
 
 
-# (id(laws), byte_rows) -> (laws, compiled suite, passing results)
-_SUITES: dict[tuple[int, bool], tuple] = {}
+# id(laws) -> (laws, compiled suite, passing results)
+_SUITES: dict[int, tuple] = {}
 
 
 def check_laws(laws: tuple[Law, ...], lattice, **tables) -> list[AxiomResult]:
@@ -289,12 +276,11 @@ def check_laws(laws: tuple[Law, ...], lattice, **tables) -> list[AxiomResult]:
     call hashes a `Law`, and the cache keeps the tuple.  A passing law gets
     its one shared result; a failing law a new one carrying its witness.
     """
-    key = (id(laws), lattice.n <= 256)
-    entry = _SUITES.get(key)
+    entry = _SUITES.get(id(laws))
     if entry is None or entry[0] is not laws:
         texts = tuple((law.vars, law.holds) for law in laws)
         passing = tuple(_passing(law.id, law.note) for law in laws)
-        entry = _SUITES[key] = (laws, _suite(texts, key[1]), passing)
+        entry = _SUITES[id(laws)] = (laws, _suite(texts), passing)
     _, scan, passing = entry
     names = lattice.names
     return [

@@ -9,8 +9,10 @@ The exceptions are `reference_certificate`, a copy of the certificate's
 first design, which the package's faster one must match byte for byte, and
 `join_is_lub_violation` and `meet_is_glb_violation`, the first statements of
 the two bound laws, which their statements on masks must match pair for pair.
-Sasaki tables are computed cell by cell from the defining formulas, and
-orthomodularity is checked by searching for the benzene ring O6.
+Sasaki tables are computed cell by cell from the defining formulas,
+orthomodularity is checked by searching for the benzene ring O6, and
+modularity and distributivity by searching for the pentagon N5 and the
+diamond M3 over join and meet read off the order matrix.
 `random_law_text` draws seeded law texts for a differential fuzz of the law
 compiler.
 """
@@ -310,6 +312,52 @@ def has_o6(leq, join, meet, comp, bottom: int, top: int) -> bool:
         and join[x][comp[y]] == top and meet[y][comp[x]] == bottom
         for x in N
         for y in N
+    )
+
+
+# ---------------------------------------------------------------------------
+# the pentagon N5 and the diamond M3 as sublattices
+
+
+def _bound_tables(leq):
+    """Join and meet read off an order matrix: the upper bound of x and y
+    below every upper bound, and the lower bound above every lower bound."""
+    N = range(len(leq))
+
+    def least(bounds):
+        return next(u for u in bounds if all(leq[u][v] for v in bounds))
+
+    def greatest(bounds):
+        return next(u for u in bounds if all(leq[v][u] for v in bounds))
+
+    join = [[least([u for u in N if leq[x][u] and leq[y][u]]) for y in N] for x in N]
+    meet = [[greatest([u for u in N if leq[u][x] and leq[u][y]]) for y in N] for x in N]
+    return join, meet
+
+
+def has_n5(leq) -> bool:
+    """True iff some a < b and c have a v c = b v c and a ^ c = b ^ c: then
+    {a ^ c, a, b, c, a v c} is a sublattice isomorphic to the pentagon N5,
+    and a lattice is modular iff it has none (Dedekind)."""
+    join, meet = _bound_tables(leq)
+    N = range(len(leq))
+    return any(
+        leq[a][b] and a != b and join[a][c] == join[b][c] and meet[a][c] == meet[b][c]
+        for a in N
+        for b in N
+        for c in N
+    )
+
+
+def has_m3(leq) -> bool:
+    """True iff three distinct x, y, z have one pairwise join and one pairwise
+    meet: then {x ^ y, x, y, z, x v y} is a sublattice isomorphic to the
+    diamond M3, and a lattice is distributive iff it has neither M3 nor N5
+    (Birkhoff)."""
+    join, meet = _bound_tables(leq)
+    return any(
+        join[x][y] == join[x][z] == join[y][z] and meet[x][y] == meet[x][z] == meet[y][z]
+        for x, y, z in itertools.combinations(range(len(leq)), 3)
     )
 
 

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -299,6 +300,49 @@ class TestErrorPaths:
         assert main(["check", BOWTIE]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "least upper bound" in err
+
+
+def _chain_file(tmp_path, n: int) -> str:
+    names = [f"c{i}" for i in range(n)]
+    covers = " ".join(f"{a}<{b}" for a, b in zip(names, names[1:]))
+    path = tmp_path / f"chain{n}.lattice"
+    path.write_text(f"kind: lattice\nelements: {' '.join(names)}\ncovers: {covers}\n")
+    return str(path)
+
+
+class TestCarrierCap:
+    """Files with more than MAX_CARRIER_SIZE = 256 elements exit 2."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["build", "a-of-l"],
+            ["build", "l-of-a"],
+            ["roundtrip"],
+            ["witness", "--axiom", "orthomodularity"],
+            ["dot"],
+        ],
+        ids="_".join,
+    )
+    def test_every_subcommand_refuses_257_elements(self, capsys, tmp_path, command):
+        assert main([*command, _chain_file(tmp_path, 257)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: carrier has 257 elements, the limit is 256\n"
+
+    def test_256_elements_pass(self, capsys, tmp_path):
+        assert main(["check", _chain_file(tmp_path, 256)]) == 0
+        assert capsys.readouterr().out.endswith("OVERALL\tPASS\n")
+
+    def test_a_20000_element_chain_is_refused_before_the_closure(self, capsys, tmp_path):
+        path = _chain_file(tmp_path, 20_000)
+        start = time.perf_counter()
+        assert main(["check", path]) == 2
+        # the cover closure alone would take hours at this size
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: carrier has 20000 elements")
 
 
 DATA_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(DATA_DIR.iterdir())]

@@ -18,9 +18,11 @@ from omlat import (
     FinitePoset,
     HypothesisViolatedError,
     LrGroupoid,
+    MAX_CARRIER_SIZE,
     AxiomResult,
     NotOrthomodularError,
     OrthoCandidate,
+    SizeLimitExceededError,
     VerificationReport,
     derived_negation,
     enumerate_bounded_lattices,
@@ -295,8 +297,7 @@ def _assert_matches_the_formulas(c: OrthoCandidate, override: bool) -> None:
 
 class TestSasakiTablesAgainstTheFormulas:
     """The tables come from bytes.translate over the columns of join and meet
-    up to 256 elements, and from loops above; both equal the defining
-    formulas read cell by cell."""
+    and equal the defining formulas read cell by cell."""
 
     def test_every_ortho_pair_up_to_size_8(self):
         pairs = orthomodular = 0
@@ -333,14 +334,17 @@ class TestSasakiTablesAgainstTheFormulas:
         g = sasaki_groupoid(c, override=True)
         assert (g.odot, g.imp) != oracles.sasaki_tables(l.join, l.meet, comp)
 
-    def test_mo128_takes_the_loops(self):
-        """MO128 has 258 elements: no byte row holds them, so no mirror."""
-        l = make_mo(128)
-        assert l.n == 258
+    def test_mo127_fills_the_largest_carrier(self):
+        """MO127 has 256 elements, the cap: its entries reach 255, the top
+        byte of the translate tables.  MO128, with 258, is refused."""
+        l = make_mo(127)
+        assert l.n == MAX_CARRIER_SIZE == 256
         # 0 and 1 swap, and atom a(2i) pairs with a(2i+1)
         comp = (l.n - 1, *(x + 1 if x % 2 else x - 1 for x in range(1, l.n - 1)), 0)
         _assert_matches_the_formulas(OrthoCandidate(l, comp), override=True)
-        assert "_column_mirror" not in vars(l) and "_byte_mirror" not in vars(l)
+        assert "_column_mirror" in vars(l)
+        with pytest.raises(SizeLimitExceededError):
+            make_mo(128)
 
     def test_mismatch_reporting_helpers(self):
         from omlat.correspondence import _table_mismatch, _unary_mismatch

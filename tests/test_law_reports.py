@@ -47,7 +47,7 @@ from omlat import (
 )
 from omlat.order import LATTICE_LAWS, BoundedLattice, FinitePoset, lattice_from_covers
 from omlat.ortho import ORTHO_LAWS, ORTHOLATTICE_LAWS, ORTHOMODULAR_LAWS
-from omlat.reports import Law, _scanner, _suite, bind, check_laws, first_violation
+from omlat.reports import Law, _suite, bind, check_laws, first_violation
 from omlat.residuated import GROUPOID_LAWS
 
 PINNED_REPORTS = (
@@ -348,16 +348,23 @@ def test_compiled_scans_match_naive_evaluation_on_passing_structures():
     assert late_hits
 
 
+def _one_law_sources(laws) -> dict[str, str]:
+    """Each law's one-law suite source, by law id."""
+    return {law.id: _suite(((law.vars, law.holds),)).source for law in laws}
+
+
 def test_row_filter_covers_three_variable_equalities_only():
     """Left adjointness, associativity, distributivity and both de Morgan laws
     compare whole rows as bytes before their innermost loop, composing rows
     with bytes.translate; no other law does, and no law builds getter lists.
     Left adjointness reads leq and imp, converting imp per scan; the de
-    Morgan laws read join, meet and comp; the other two join and meet.
-    Carriers above 256 elements compile with no row check."""
+    Morgan laws read join, meet and comp; the other two join and meet."""
     laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
-    sources = {law.id: _scanner(law.vars, law.holds, True).source for law in laws}
-    filtered = {law_id for law_id, source in sources.items() if "continue" in source}
+    sources = _one_law_sources(laws)
+    # the row check is the one `if` comparing bytes rows, `_bT[i]` or `_bcomp`
+    filtered = {
+        law_id for law_id, source in sources.items() if re.search(r"^ +if _b\w", source, re.M)
+    }
     assert filtered == FILTERED_LAWS
     assert all(".translate(" in sources[law_id] for law_id in filtered)
     assert not any("_itemgetter" in source for source in sources.values())
@@ -374,33 +381,6 @@ def test_row_filter_covers_three_variable_equalities_only():
         "de-morgan-meet": {"join", "meet", "comp"},
     }
     assert "_bimp = [*map(bytes, imp)]" in sources["left-adjointness"]
-    assert not any(
-        "continue" in _scanner(law.vars, law.holds, False).source for law in laws
-    )
-
-
-def test_carriers_above_256_elements_keep_the_exact_loops():
-    """Bytes hold 0..255, so a 257-element chain, whose complement maps x to
-    256 - x, compiles with no row check and never converts a row to bytes
-    (bytes() would raise ValueError on 256)."""
-    n = 257
-    names = tuple(f"c{i}" for i in range(n))
-    l = lattice_from_covers(names, zip(names, names[1:]))
-    comp = tuple(n - 1 - x for x in range(n))
-    de_morgan = [law for law in ORTHOLATTICE_LAWS if law.id.startswith("de-morgan")]
-    assert len(de_morgan) == 2
-    for law in de_morgan:
-        assert first_violation(law, l, comp=comp) is None
-    bad = comp[:100] + (7,) + comp[101:]
-    tables = {
-        "leq": l.leq, "join": l.join, "meet": l.meet, "bottom": l.bottom,
-        "top": l.top, "comp": bad, "odot": None, "imp": None,
-    }
-    for law in de_morgan:
-        hit = _naive_first_violation(law, tables, n)
-        assert hit is not None
-        assert first_violation(law, l, comp=bad) == bind(law.vars, names, hit)
-    assert "_byte_mirror" not in vars(l)
 
 
 GUARDED_LAWS = {"antitony", "orthomodularity", "orthomodularity-dual"}
@@ -411,44 +391,48 @@ def test_only_the_guarded_laws_loop_over_guard_rows():
     loop their innermost variable over the rows of `_leq_indices`, in the
     one-law scans and in every compiled suite; no other law reads them."""
     laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
-    for byte_rows in (True, False):
-        guarded = [
-            law.id
-            for law in laws
-            if "for y in _leq_indices[x]:" in _scanner(law.vars, law.holds, byte_rows).source
-        ]
-        assert sorted(guarded) == sorted(["antitony", "antitony", *GUARDED_LAWS - {"antitony"}])
-        for suite in (LATTICE_LAWS, ORTHOLATTICE_LAWS, ORTHOMODULAR_LAWS, GROUPOID_LAWS):
-            source = _suite(tuple((law.vars, law.holds) for law in suite), byte_rows).source
-            want = sum(law.id in GUARDED_LAWS for law in suite)
-            assert source.count("in _leq_indices[") == want
-            assert ("_leq_indices = lattice._leq_indices" in source) == (want > 0)
+    guarded = [
+        law.id
+        for law in laws
+        if "for y in _leq_indices[x]:" in _suite(((law.vars, law.holds),)).source
+    ]
+    assert sorted(guarded) == sorted(["antitony", "antitony", *GUARDED_LAWS - {"antitony"}])
+    for suite in (LATTICE_LAWS, ORTHOLATTICE_LAWS, ORTHOMODULAR_LAWS, GROUPOID_LAWS):
+        source = _suite(tuple((law.vars, law.holds) for law in suite)).source
+        want = sum(law.id in GUARDED_LAWS for law in suite)
+        assert source.count("in _leq_indices[") == want
+        assert ("_leq_indices = lattice._leq_indices" in source) == (want > 0)
 
 
-def test_guarded_laws_on_a_257_element_chain():
-    """On the 257-element chain, with comp x -> 256 - x and one corrupted
-    comp cell, antitony and both orthomodular laws take the loop path (no
-    byte rows) and fail at the first tuple that evaluating them finds."""
-    n = 257
+def test_row_checked_and_guarded_laws_on_a_256_element_chain():
+    """On the largest carrier, the 256-element chain with comp x -> 255 - x,
+    entries reach 255, the top byte of the translate tables.  Both de Morgan
+    laws pass; with one corrupted comp cell they, antitony and both
+    orthomodular laws fail at the first tuple that evaluating them finds,
+    alone and in their suites."""
+    n = 256
     names = tuple(f"c{i}" for i in range(n))
     l = lattice_from_covers(names, zip(names, names[1:]))
     comp = tuple(n - 1 - x for x in range(n))
+    suites = {law.id: suite for suite in (ORTHOLATTICE_LAWS, ORTHOMODULAR_LAWS) for law in suite}
+    de_morgan = {law_id for law_id in suites if law_id.startswith("de-morgan")}
+    assert len(de_morgan) == 2 and set(suites) >= GUARDED_LAWS
     bad = comp[:100] + (7,) + comp[101:]
     tables = {
         "leq": l.leq, "join": l.join, "meet": l.meet, "bottom": l.bottom,
         "top": l.top, "comp": bad, "odot": None, "imp": None,
     }
-    suites = {law.id: suite for suite in (ORTHOLATTICE_LAWS, ORTHOMODULAR_LAWS) for law in suite}
-    assert set(suites) >= GUARDED_LAWS
-    for law_id in sorted(GUARDED_LAWS):
+    for law_id in sorted(de_morgan | GUARDED_LAWS):
         suite = suites[law_id]
         law = next(law for law in suite if law.id == law_id)
+        if law_id in de_morgan:
+            assert first_violation(law, l, comp=comp) is None
         hit = _naive_first_violation(law, tables, n)
         assert hit is not None
         want = bind(law.vars, names, hit)
         assert first_violation(law, l, comp=bad) == want
         assert next(r for r in check_laws(suite, l, comp=bad) if r.axiom == law_id).witness == want
-    assert "_byte_mirror" not in vars(l)
+    assert "_byte_mirror" in vars(l)
 
 
 FUZZ_TRIALS = 160
@@ -459,9 +443,9 @@ def test_compiled_suites_match_naive_evaluation_on_random_law_texts():
     texts (oracles.random_law_text: plain, guard-shaped with its near misses,
     or row-check shaped) and total tables on 1-5 elements, with `leq` a
     random bool table in half the trials and a partial order in the rest.
-    Each text is compiled alone and a random suite of 2-4 of them as one
-    scan, with and without byte rows: 160 trials, 1,280 one-law scans and
-    320 suites, every first failing tuple against row-major evaluation."""
+    Each text is compiled as a suite of one and a random suite of 2-4 of
+    them as one scan: 160 trials, 640 one-law suites and 160 mixed suites,
+    every first failing tuple against row-major evaluation."""
     rng = random.Random(20261022)
     scans = guarded = filtered = witnesses = 0
     for trial in range(FUZZ_TRIALS):
@@ -484,19 +468,18 @@ def test_compiled_suites_match_naive_evaluation_on_random_law_texts():
         ]
         want = [_naive_first_violation(Law("fuzz", *text), tables, n) for text in texts]
         witnesses += sum(hit is not None for hit in want)
-        for byte_rows in (True, False):
-            for text, hit in zip(texts, want):
-                scan = _scanner.__wrapped__(*text, byte_rows)
-                assert scan(lattice, **ops) == hit, (text, tables)
-                scans += 1
-                guarded += "in _leq_indices[" in scan.source
-                filtered += ".translate(" in scan.source
-            picks = rng.sample(range(4), rng.randint(2, 4))
-            suite = _suite.__wrapped__(tuple(texts[i] for i in picks), byte_rows)
-            got = suite(lattice, **ops)
-            assert got == tuple(want[i] for i in picks), ([texts[i] for i in picks], tables)
-    assert scans == 2 * 4 * FUZZ_TRIALS
-    # every path runs: 160 guard loops, 75 row checks, 460 of 640 texts failing
+        for text, hit in zip(texts, want):
+            scan = _suite.__wrapped__((text,))
+            assert scan(lattice, **ops) == (hit,), (text, tables)
+            scans += 1
+            guarded += "in _leq_indices[" in scan.source
+            filtered += ".translate(" in scan.source
+        picks = rng.sample(range(4), rng.randint(2, 4))
+        suite = _suite.__wrapped__(tuple(texts[i] for i in picks))
+        got = suite(lattice, **ops)
+        assert got == tuple(want[i] for i in picks), ([texts[i] for i in picks], tables)
+    assert scans == 4 * FUZZ_TRIALS
+    # every path runs: 96 guard loops, 61 row checks, 444 of 640 texts failing
     assert guarded > 80 and filtered > 40 and 0 < witnesses < 4 * FUZZ_TRIALS
 
 
@@ -594,7 +577,7 @@ def test_only_the_bound_laws_read_the_masks():
     no other law; no law has a generator, and the down-sets are cached on a
     lattice only once a law reads them."""
     laws = LATTICE_LAWS + ORTHO_LAWS + GROUPOID_LAWS
-    sources = {law.id: _scanner(law.vars, law.holds, True).source for law in laws}
+    sources = _one_law_sources(laws)
     reads = {
         law_id: re.findall(r"\b(up|down) = lattice\.\1\n", source)
         for law_id, source in sources.items()

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_boolean, make_mo2, make_o6, permute_candidate
 from omlat import (
+    MAX_CARRIER_SIZE,
+    BoundedLattice,
     CycleDetectedError,
     DuplicateNameError,
     EnumerationConfig,
@@ -213,6 +215,25 @@ class TestLatticeFromCovers:
             NotBoundedError,
             UnknownElementError,
         }
+
+
+class TestCarrierCap:
+    """Carriers hold at most MAX_CARRIER_SIZE = 256 elements."""
+
+    @pytest.mark.parametrize("build", [lattice_from_covers, poset_from_covers])
+    def test_one_more_name_is_refused(self, build):
+        names = [f"c{i}" for i in range(MAX_CARRIER_SIZE + 1)]
+        with pytest.raises(SizeLimitExceededError, match="257 elements, the limit is 256"):
+            build(names, zip(names, names[1:]))
+
+    def test_a_lattice_built_directly_is_refused(self):
+        n = MAX_CARRIER_SIZE + 1
+        names = tuple(f"c{i}" for i in range(n))
+        leq = tuple(tuple(x <= y for y in range(n)) for x in range(n))
+        join = tuple(tuple(max(x, y) for y in range(n)) for x in range(n))
+        meet = tuple(tuple(min(x, y) for y in range(n)) for x in range(n))
+        with pytest.raises(SizeLimitExceededError):
+            BoundedLattice(FinitePoset(names, leq), join, meet, 0, n - 1)
 
 
 class TestVerifyLattice:

@@ -23,6 +23,8 @@ from omlat import (
     sasaki_groupoid,
     verify_ortholattice,
 )
+from omlat.ortho import ORTHO_LAWS
+from omlat.reports import first_violation
 
 # class counts per size, frozen from the enumeration run, cross-checked
 # against the labeled brute-force oracle below for sizes 1-6 and equal to
@@ -120,6 +122,30 @@ class TestEnumerateBoundedLattices:
         pairs = enumerate_omls(EnumerationConfig(6))
         distinct = {c.lattice.leq: c.lattice for c in pairs}
         assert counts_by_size(distinct.values()) == {1: 1, 2: 1, 4: 1, 6: 1}
+
+
+# distributive and modular lattices per size, OEIS A006982 and A006981
+DISTRIBUTIVE_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15, 9: 26}
+MODULAR_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 4, 6: 8, 7: 16, 8: 34, 9: 72}
+
+
+def test_dedekind_and_birkhoff_on_every_lattice_up_to_nine():
+    """A lattice is modular iff it has no sublattice N5, and distributive iff
+    it has neither N5 nor M3.  The searches (oracles.has_n5, has_m3) read
+    only the order; the `distributivity` law agrees with them on all 1,378
+    lattices up to size 9, and both counts per size match OEIS."""
+    distributivity = next(law for law in ORTHO_LAWS if law.id == "distributivity")
+    modular, distributive = [], []
+    for l in CORPUS9:
+        n5, m3 = oracles.has_n5(l.leq), oracles.has_m3(l.leq)
+        passes = first_violation(distributivity, l) is None
+        assert passes == (not n5 and not m3), l
+        if not n5:
+            modular.append(l)
+        if passes:
+            distributive.append(l)
+    assert counts_by_size(modular) == MODULAR_CLASS_COUNTS
+    assert counts_by_size(distributive) == DISTRIBUTIVE_CLASS_COUNTS
 
 
 class TestEnumerateOrthocomplements:
