@@ -34,6 +34,9 @@ up-set masks (bit y of up[x] iff x <= y), `down_sets` gives the dual, and
 cover closure runs on masks, covers are the two-element intervals, and join
 and meet come from up-set (down-set) intersection: the upper bounds of x and
 y are up[x] & up[y], and x v y is the element whose up-set is exactly that.
+Each join and meet row is one lookup per entry in the dict from masks to
+elements; when a lookup fails, the error names the first pair in row-major
+order that has no bound, join before meet.
 A poset built from masks keeps them as `FinitePoset.up`; others compute it.
 A lattice caches its down-set masks as `BoundedLattice.down`, not a field.
 `join-is-lub` and `meet-is-glb` are stated on the masks: the join of x and y
@@ -43,8 +46,9 @@ The one canonical form is `canonical_certificate`.  It refines the elements of
 a poset or lattice into an isomorphism-invariant partition on masks, takes the
 least relabeled order (and unary table) over the permutations within its
 cells, and writes it out as text.  Twins (same strict up-set and down-set)
-keep their index order when no table is given.  Enumeration certifies each
-candidate once and uses the certificate both to deduplicate and to sort.
+keep their index order when no table is given, and a cell of one element
+takes no arrangement work.  Enumeration certifies each candidate once, on its
+masks, and uses the certificate both to deduplicate and to sort.
 """
 
 from __future__ import annotations
@@ -307,32 +311,26 @@ def _lattice_from_up(p: FinitePoset, up: tuple[int, ...], down: list[int]) -> Bo
     # a relation that is not antisymmetric, several elements have it.
     by_up = {u: x for x, u in enumerate(up) if up.count(u) == 1}
     by_down = {d: x for x, d in enumerate(down) if down.count(d) == 1}
-    join_rows: list[tuple[ElementId, ...]] = []
-    meet_rows: list[tuple[ElementId, ...]] = []
-    for x in range(n):
-        jrow: list[ElementId] = []
-        mrow: list[ElementId] = []
-        for y in range(n):
-            j = by_up.get(up[x] & up[y])
-            if j is None:
-                raise NotALatticeError(
-                    f"no least upper bound for ({p.names[x]}, {p.names[y]})",
-                    pair=(p.names[x], p.names[y]),
-                    kind="join",
-                )
-            jrow.append(j)
-            m = by_down.get(down[x] & down[y])
-            if m is None:
-                raise NotALatticeError(
-                    f"no greatest lower bound for ({p.names[x]}, {p.names[y]})",
-                    pair=(p.names[x], p.names[y]),
-                    kind="meet",
-                )
-            mrow.append(m)
-        join_rows.append(tuple(jrow))
-        meet_rows.append(tuple(mrow))
+    try:
+        join = tuple([tuple([by_up[ux & uy] for uy in up]) for ux in up])
+        meet = tuple([tuple([by_down[dx & dy] for dy in down]) for dx in down])
+    except KeyError:
+        # the first missing bound in row-major order, join before meet
+        x, y = next(
+            (x, y)
+            for x in range(n)
+            for y in range(n)
+            if up[x] & up[y] not in by_up or down[x] & down[y] not in by_down
+        )
+        kind = "join" if up[x] & up[y] not in by_up else "meet"
+        bound = "least upper" if kind == "join" else "greatest lower"
+        raise NotALatticeError(
+            f"no {bound} bound for ({p.names[x]}, {p.names[y]})",
+            pair=(p.names[x], p.names[y]),
+            kind=kind,
+        ) from None
     bottom, top = up.index(everything), down.index(everything)
-    l = BoundedLattice(p, tuple(join_rows), tuple(meet_rows), bottom, top)
+    l = BoundedLattice(p, join, meet, bottom, top)
     object.__setattr__(l, "down", tuple(down))
     return l
 
@@ -480,16 +478,18 @@ def _refinement_cells(up, down) -> list[list[ElementId]]:
     return [cells[c] for c in sorted(cells)]
 
 
-def _arrangements(cell, label) -> list[list[ElementId]]:
-    """The orders of a cell in which elements with one label keep index order."""
+def _arrangements(cell, key) -> list[list[ElementId]]:
+    """The orders of a cell in which elements with one key keep index order."""
     if len(cell) == 1:
         return [cell]
+    first: dict = {}
+    labels = [first.setdefault(key(x), x) for x in cell]
     orders = []
-    for labels in dict.fromkeys(itertools.permutations([label[x] for x in cell])):
+    for perm in dict.fromkeys(itertools.permutations(labels)):
         stacks: dict = {}
-        for x in reversed(cell):
-            stacks.setdefault(label[x], []).append(x)
-        orders.append([stacks[l].pop() for l in labels])
+        for x, l in zip(reversed(cell), reversed(labels)):
+            stacks.setdefault(l, []).append(x)
+        orders.append([stacks[l].pop() for l in perm])
     return orders
 
 
@@ -519,13 +519,17 @@ def canonical_certificate(s, u=None) -> CanonicalCertificate:
             f"canonicalization needs {relabelings} relabelings, "
             f"the limit is {_MAX_RELABELINGS}"
         )
-    # twins share a label, the least of them; with a table no two elements do
-    keys = [x if u is not None else (up[x] ^ 1 << x, down[x] ^ 1 << x) for x in range(n)]
-    label = [keys.index(k) for k in keys]
+    # twins share a key; with a table no two elements do
+    if u is None:
+        def twin_key(x):
+            return up[x] ^ 1 << x, down[x] ^ 1 << x
+    else:
+        def twin_key(x):
+            return x
     members = [[y for y in range(n) if m >> y & 1] for m in up]
     bits = [1 << i for i in range(n)]
     best = None
-    for parts in itertools.product(*[_arrangements(c, label) for c in cells]):
+    for parts in itertools.product(*[_arrangements(c, twin_key) for c in cells]):
         order = [x for part in parts for x in part]
         # row i ORs bit[y] = 1 << (new index of y) over the members y of up[order[i]]
         bit = dict(zip(order, bits)).__getitem__

@@ -4,15 +4,20 @@ Lattices are generated one isomorphism class at a time by growing
 meet-semilattices element by element: a bounded lattice on n elements minus
 its top is exactly a meet-semilattice on n-1 elements, and adjoining a fresh
 maximal element with a chosen down-set extends one semilattice to the next
-size.  Each candidate is certified once: its `canonical_certificate` is the
-dedup key, so each class is kept exactly once (its first candidate), and the
-same bytes sort each size of the output.
+size.  Only order ideals are tried as down-sets, and an ideal that takes a
+twin without its lower-indexed twins is skipped, since a smaller ideal of the
+same parent gives an isomorphic candidate.  Each candidate is certified once,
+on its up-set masks: its `canonical_certificate` is the dedup key, so each
+class is kept exactly once (its first candidate, which the skipping never
+removes), and the same bytes sort each size of the output.  Only the kept
+classes are built as posets and lattices.
 Orthocomplement search backtracks over involutions that pair each element
 with one of its lattice complements, pruning by antitony as pairs are fixed.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceededError, UnknownAxiomIdError
@@ -34,6 +39,9 @@ from .reports import Witness, first_violation
 from .residuated import ALL_AXIOMS, LrGroupoid, verify_lrg
 
 MAX_ENUMERATION_SIZE = 9
+
+# what `canonical_certificate` reads of a candidate: its size and up-set masks
+_Masks = namedtuple("_Masks", "n up")
 
 
 @dataclass(frozen=True)
@@ -112,19 +120,35 @@ def _with_top(up: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _semilattice_extensions(up: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All one-element extensions by a new maximal element.
+    """One-element extensions by a new maximal element, skipping twin images.
 
     The new element's strict down-set D is kept iff D meets every principal
     down-set in a principal down-set.  For x in D that says D is down-closed
     at x; for x outside D it says D and the down-set of x have a maximum,
     which becomes the meet of the new element with x.  D = {} passes only on
-    the empty semilattice.
+    the empty semilattice.  So D is an order ideal: the index order is a
+    linear extension (`_adjoin` puts each new element above lower-indexed
+    ones only), and x joins a mask only if everything strictly below x is in
+    it.  Swapping twins (same strict up-set and down-set) is an automorphism,
+    so a mask that holds a twin without every lower-indexed twin of its class
+    has a smaller mask with an isomorphic extension; it is skipped.  Each
+    pass appends masks with a bit above all earlier ones, so masks come in
+    ascending order.
     """
     down = down_sets(up)
     principal = set(down)
+    ideals = [0]
+    lower_twins: dict[tuple[int, int], int] = {}
+    for x, (u, d) in enumerate(zip(up, down)):
+        bit = 1 << x
+        key = (u ^ bit, d ^ bit)
+        twins = lower_twins.get(key, 0)
+        lower_twins[key] = twins | bit
+        need = d ^ bit | twins
+        ideals += [m | bit for m in ideals if m & need == need]
     return [
         _adjoin(up, mask)
-        for mask in range(1 << len(up))
+        for mask in ideals
         if all(mask & d in principal for d in down)
     ]
 
@@ -146,14 +170,14 @@ def enumerate_bounded_lattices(cfg: EnumerationConfig) -> list[BoundedLattice]:
     candidates = [()]
     for size in range(1, cfg.max_size + 1):
         names = tuple(f"e{i}" for i in range(size))
-        # certificate -> (semilattice, the certified poset of its lattice)
-        level: dict[bytes, tuple] = {}
+        # certificate -> the first semilattice certified with it
+        level: dict[bytes, tuple[int, ...]] = {}
         for up in candidates:
+            level.setdefault(canonical_certificate(_Masks(size, _with_top(up))).data, up)
+        for up in map(level.get, sorted(level)):
             p = _poset_from_up(names, _with_top(up))
-            level.setdefault(canonical_certificate(p).data, (up, p))
-        for _, p in map(level.get, sorted(level)):
             results.append(_lattice_from_up(p, p.up, down_sets(p.up)))
-        candidates = (ext for up, _ in level.values() for ext in _semilattice_extensions(up))
+        candidates = (ext for up in level.values() for ext in _semilattice_extensions(up))
     return results
 
 

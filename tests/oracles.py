@@ -6,9 +6,11 @@ generated by down-set backtracking, isomorphism classes by minimizing over
 all n! relabelings, complementations by scanning all n^n unary maps, covers
 by boolean matrix multiplication, and Boolean algebras from subset tables.
 The exceptions are `reference_certificate`, a copy of the certificate's
-first design, which the package's faster one must match byte for byte, and
+first design, which the package's faster one must match byte for byte,
 `join_is_lub_violation` and `meet_is_glb_violation`, the first statements of
-the two bound laws, which their statements on masks must match pair for pair.
+the two bound laws, which their statements on masks must match pair for pair,
+and `reference_extensions`, enumeration's first scan over every down-set mask,
+of which the package's ideal walk must keep an ordered subsequence.
 Sasaki tables are computed cell by cell from the defining formulas,
 orthomodularity is checked by searching for the benzene ring O6, and
 modularity and distributivity by searching for the pentagon N5 and the
@@ -206,6 +208,42 @@ def meet_is_glb_violation(leq, meet) -> tuple[int, int] | None:
                 and all(leq[z][meet[x][y]] for z in N if leq[z][x] and leq[z][y])
             ):
                 return x, y
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the semilattice extension scan and the missing-bound search as first written
+
+
+def reference_extensions(up) -> list[tuple[int, ...]]:
+    """Every extension of a meet-semilattice, given by its up-set masks, by a
+    new maximal element, scanning all 2^k strict down-sets D in ascending
+    order: D is kept iff it meets every principal down-set in a principal
+    down-set.  The new element gets index k; twins are not pruned."""
+    k = len(up)
+    down = [sum(1 << x for x in range(k) if up[x] >> y & 1) for y in range(k)]
+    principal = set(down)
+    new = 1 << k
+    return [
+        (*(u | new if mask >> x & 1 else u for x, u in enumerate(up)), new)
+        for mask in range(1 << k)
+        if all(mask & d in principal for d in down)
+    ]
+
+
+def first_missing_bound(leq) -> tuple[tuple[int, int], str] | None:
+    """The first pair in row-major order with no least upper bound ("join")
+    or, checked next at the same pair, no greatest lower bound ("meet"),
+    searching the bounds of each pair in the matrix; None for a lattice."""
+    N = range(len(leq))
+    for x in N:
+        for y in N:
+            upper = [z for z in N if leq[x][z] and leq[y][z]]
+            if not any(all(leq[z][w] for w in upper) for z in upper):
+                return (x, y), "join"
+            lower = [z for z in N if leq[z][x] and leq[z][y]]
+            if not any(all(leq[w][z] for w in lower) for z in lower):
+                return (x, y), "meet"
     return None
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -129,21 +130,35 @@ class TestLatticeFromPoset:
         assert (exc.value.pair, exc.value.kind) == (("p", "p"), "join")
 
     def test_accepts_exactly_the_labeled_lattices(self):
-        # every labeled poset on 1..5 points: 1 + 3 + 19 + 219 + 4231 = 4473
-        seen = 0
+        # every labeled poset on 1..5 points (1 + 3 + 19 + 219 + 4231 = 4473),
+        # each also with a new bottom and top adjoined: on 5 points or fewer
+        # every bounded poset is a lattice, so only those name a missing bound
+        outcomes: Counter = Counter()
         for n in range(1, 6):
-            names = tuple(f"e{i}" for i in range(n))
-            for down in oracles.labeled_posets(n):
-                leq = tuple(tuple(row) for row in oracles.poset_leq_matrix(down))
-                seen += 1
-                try:
-                    l = lattice_from_poset(FinitePoset(names, leq))
-                except (NotALatticeError, NotBoundedError):
-                    assert not oracles.is_labeled_lattice(down)
-                    continue
-                assert oracles.is_labeled_lattice(down)
-                assert verify_lattice(l).overall
-        assert seen == 4473
+            for poset in oracles.labeled_posets(n):
+                bounded = (*(d | 1 << n for d in poset), 0, (1 << n + 1) - 1)
+                for down in (poset, bounded):
+                    names = tuple(f"e{i}" for i in range(len(down)))
+                    leq = tuple(tuple(row) for row in oracles.poset_leq_matrix(down))
+                    try:
+                        l = lattice_from_poset(FinitePoset(names, leq))
+                    except NotBoundedError:
+                        assert not oracles.is_labeled_lattice(down)
+                        outcomes["unbounded"] += 1
+                        continue
+                    except NotALatticeError as exc:
+                        assert not oracles.is_labeled_lattice(down)
+                        # the first missing bound of a naive row-major scan
+                        (x, y), kind = oracles.first_missing_bound(leq)
+                        bound = "least upper" if kind == "join" else "greatest lower"
+                        assert (exc.pair, exc.kind) == ((names[x], names[y]), kind)
+                        assert str(exc) == f"no {bound} bound for ({names[x]}, {names[y]})"
+                        outcomes[kind] += 1
+                        continue
+                    assert oracles.is_labeled_lattice(down)
+                    assert verify_lattice(l).overall
+                    outcomes["lattice"] += 1
+        assert outcomes == {"lattice": 4422, "unbounded": 4048, "join": 238, "meet": 238}
 
 
 def _built(build, *args):
